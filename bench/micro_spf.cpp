@@ -31,6 +31,7 @@
 
 #include "ospf/lsdb.hpp"
 #include "ospf/spf.hpp"
+#include "spf_reference.hpp"
 #include "util/ip.hpp"
 
 using namespace nidkit;

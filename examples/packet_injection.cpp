@@ -1,62 +1,55 @@
-// Injection validation — the paper's future work, operational: take every
-// discrepancy the miner flags between FRR-like and BIRD-like OSPF, inject
-// the stimulus into a live network of each implementation, and classify
-// the flag as CONFIRMED (the implementations demonstrably respond
-// differently) or NOT-REPRODUCED (a mining artifact).
+// Injection confirmation — the paper's future work, operational: triage
+// every discrepancy the miner flags between FRR-like and BIRD-like OSPF.
+// Each flag is shrunk to a minimal reproducing scenario, then its stimulus
+// is injected over a live adjacency into each implementation. The flag is
+// CONFIRMED when the probes isolate the cell's response class, REFUTED
+// when both implementations respond identically (a mining artifact), and
+// UNCONFIRMED with a reason otherwise.
 #include <cstdio>
-#include <set>
 
-#include "harness/experiment.hpp"
-#include "harness/injection.hpp"
+#include "harness/triage.hpp"
 
 using namespace nidkit;
-using namespace std::chrono_literals;
+
+namespace {
+
+void print_responses(const char* impl, const harness::InjectionOutcome& o) {
+  std::printf(" %s: {", impl);
+  for (const auto& r : o.responses) std::printf(" %s", r.c_str());
+  std::printf(" }");
+}
+
+}  // namespace
 
 int main() {
-  // Step 1: mine the Table-2-granularity discrepancies.
-  harness::ExperimentConfig config;
-  const auto audit = harness::audit_ospf(
-      {ospf::frr_profile(), ospf::bird_profile()}, config,
-      mining::ospf_greater_lssn_scheme());
+  // Paper topologies and defaults; triage mines at greater-LS-SN
+  // granularity, whose cells map directly onto injection stimuli.
+  const auto result = harness::triage_ospf(
+      {ospf::frr_profile(), ospf::bird_profile()}, harness::TriageConfig{});
 
   std::printf("mined %zu discrepancies at greater-LS-SN granularity\n\n",
-              audit.discrepancies.size());
-
-  // Step 2: validate every flag automatically — each discrepancy cell is
-  // mapped to a synthesizable stimulus, injected into *both*
-  // implementations over a live adjacency, and judged by whether the
-  // responses differ.
-  const std::map<std::string, ospf::BehaviorProfile> impls = {
-      {"frr", ospf::frr_profile()}, {"bird", ospf::bird_profile()}};
-  const auto report =
-      harness::validate_discrepancies(audit.discrepancies, impls);
+              result.flagged);
 
   int confirmed = 0;
-  int not_reproduced = 0;
-  for (const auto& entry : report) {
-    const auto& d = entry.discrepancy;
-    std::printf("flag: %s -> %s (present in %s)\n", d.cell.stimulus.c_str(),
-                d.cell.response.c_str(), d.present_in.c_str());
-    if (entry.verdict == harness::Verdict::kUnsupported) {
-      std::printf("  => no synthesizer for this stimulus class\n");
-      continue;
-    }
-    std::printf("  injected %-12s %s: {", entry.stimulus.c_str(),
+  for (const auto& inc : result.incidents) {
+    const auto& d = inc.discrepancy;
+    std::printf("#%zu flag: %s %s -> %s (present in %s)\n", inc.rank,
+                detect::to_string(d.direction).c_str(),
+                d.cell.stimulus.c_str(), d.cell.response.c_str(),
                 d.present_in.c_str());
-    for (const auto& r : entry.outcome_present.responses)
-      std::printf(" %s", r.c_str());
-    std::printf(" }  %s: {", d.absent_in.c_str());
-    for (const auto& r : entry.outcome_absent.responses)
-      std::printf(" %s", r.c_str());
-    std::printf(" }\n  => %s\n", to_string(entry.verdict).c_str());
-    if (entry.verdict == harness::Verdict::kConfirmed)
-      ++confirmed;
-    else
-      ++not_reproduced;
+    if (!inc.stimulus.empty()) {
+      std::printf("  injected %-12s", inc.stimulus.c_str());
+      print_responses(d.present_in.c_str(), inc.outcome_present);
+      print_responses(d.absent_in.c_str(), inc.outcome_absent);
+      std::printf("\n");
+    }
+    std::printf("  => %s%s%s\n", to_string(inc.confirmation).c_str(),
+                inc.reason.empty() ? "" : ": ", inc.reason.c_str());
+    if (inc.confirmation == harness::Confirmation::kConfirmed) ++confirmed;
   }
 
-  std::printf("\n%d confirmed, %d not reproduced\n", confirmed,
-              not_reproduced);
+  std::printf("\n%d of %zu incidents confirmed by injection\n", confirmed,
+              result.incidents.size());
   std::printf("(the paper's Table 2 discrepancy corresponds to the "
               "LSU-stale probe: FRR\nanswers with the newer LSA, BIRD with "
               "a greater-LS-SN acknowledgment.)\n");

@@ -1,5 +1,6 @@
 #include "cli/cli.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -19,6 +20,21 @@ namespace nidkit::cli {
 
 using namespace std::chrono_literals;
 
+namespace {
+
+/// Parses all of `text` as an integer of type T; a sign on an unsigned
+/// type, blanks, or any trailing character make it malformed.
+template <typename T>
+std::optional<T> parse_whole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 std::string Args::get(const std::string& key,
                       const std::string& fallback) const {
   auto it = flags.find(key);
@@ -28,11 +44,7 @@ std::string Args::get(const std::string& key,
 std::optional<long long> Args::get_int(const std::string& key) const {
   auto it = flags.find(key);
   if (it == flags.end()) return std::nullopt;
-  try {
-    return std::stoll(it->second);
-  } catch (...) {
-    return std::nullopt;
-  }
+  return parse_whole<long long>(it->second);
 }
 
 std::optional<Args> parse_args(const std::vector<std::string>& tokens,
@@ -52,8 +64,7 @@ std::optional<Args> parse_args(const std::vector<std::string>& tokens,
       return std::nullopt;
     }
     // Boolean switches: presence means "on", no value token follows.
-    if (tok == "--keep-bytes" || tok == "--no-cache" || tok == "--json" ||
-        tok == "--from-audit") {
+    if (tok == "--keep-bytes" || tok == "--no-cache" || tok == "--json") {
       args.flags[tok.substr(2)] = "1";
       i += 1;
       continue;
@@ -98,9 +109,7 @@ int usage(std::ostream& out) {
          "  sweep      [--impl frr] [--max-ms 1500] [--step-ms 150] [--jobs N]\n"
          "             [--keep-bytes]\n"
          "  inject     --target frr|bird|strict --stimulus LSU-stale|LSR|...\n"
-         "  validate   --impls frr,bird [--scheme gtsn] : mine flags, then\n"
-         "             confirm each by crafted-packet injection\n"
-         "  triage     --impls frr,bird [--from-audit] [--scheme gtsn]\n"
+         "  triage     --impls frr,bird [--scheme gtsn]\n"
          "             [--max-probes 200] [--max-incidents N] [--jobs N]\n"
          "             [--report-out report.json] [--format text|json]\n"
          "             [--churn-s 60,110|none] : audit, then delta-debug\n"
@@ -161,23 +170,36 @@ std::optional<mining::KeyScheme> scheme_by_name(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<topo::Spec> topo_by_name(const std::string& name) {
+std::optional<topo::Kind> kind_by_name(const std::string& kind) {
+  if (kind == "linear") return topo::Kind::kLinear;
+  if (kind == "mesh") return topo::Kind::kMesh;
+  if (kind == "ring") return topo::Kind::kRing;
+  if (kind == "star") return topo::Kind::kStar;
+  if (kind == "tree") return topo::Kind::kTree;
+  if (kind == "lan") return topo::Kind::kLan;
+  return std::nullopt;
+}
+
+/// Parses "<kind>-<routers>" (linear-2, mesh-5, ...). Returns nullopt after
+/// writing the reason to `err` for an unknown name or a shape topo::build
+/// refuses.
+std::optional<topo::Spec> topo_by_name(const std::string& name,
+                                       std::ostream& err) {
   const auto dash = name.rfind('-');
-  if (dash == std::string::npos) return std::nullopt;
-  const std::string kind = name.substr(0, dash);
-  std::size_t n = 0;
-  try {
-    n = std::stoul(name.substr(dash + 1));
-  } catch (...) {
+  const auto kind = kind_by_name(name.substr(0, dash));
+  const auto routers = dash == std::string::npos
+                           ? std::nullopt
+                           : parse_whole<std::size_t>(name.substr(dash + 1));
+  if (!kind || !routers) {
+    err << "unknown topology: " << name << "\n";
     return std::nullopt;
   }
-  if (kind == "linear") return topo::Spec{topo::Kind::kLinear, n};
-  if (kind == "mesh") return topo::Spec{topo::Kind::kMesh, n};
-  if (kind == "ring") return topo::Spec{topo::Kind::kRing, n};
-  if (kind == "star") return topo::Spec{topo::Kind::kStar, n};
-  if (kind == "tree") return topo::Spec{topo::Kind::kTree, n};
-  if (kind == "lan") return topo::Spec{topo::Kind::kLan, n};
-  return std::nullopt;
+  const topo::Spec spec{*kind, *routers};
+  if (const char* why = topo::spec_error(spec)) {
+    err << "bad topology " << name << ": " << why << "\n";
+    return std::nullopt;
+  }
+  return spec;
 }
 
 /// Cache directory for this invocation: --no-cache wins, then --cache-dir,
@@ -201,11 +223,8 @@ std::optional<harness::ExperimentConfig> config_from(const Args& args,
   } else {
     config.topologies.clear();
     for (const auto& name : split_list(topos)) {
-      const auto spec = topo_by_name(name);
-      if (!spec) {
-        err << "unknown topology: " << name << "\n";
-        return std::nullopt;
-      }
+      const auto spec = topo_by_name(name, err);
+      if (!spec) return std::nullopt;
       config.topologies.push_back(*spec);
     }
   }
@@ -220,34 +239,34 @@ std::optional<harness::ExperimentConfig> config_from(const Args& args,
     const std::string churn = args.get("churn-s", "");
     if (churn != "none") {
       for (const auto& s : split_list(churn)) {
-        try {
-          config.churn_times.push_back(
-              std::chrono::seconds(std::stoll(s)));
-        } catch (...) {
+        const auto secs = parse_whole<long long>(s);
+        if (!secs) {
           err << "--churn-s needs seconds (comma-separated) or none\n";
           return std::nullopt;
         }
+        config.churn_times.push_back(std::chrono::seconds(*secs));
       }
     }
   }
   if (args.has("seeds")) {
     config.seeds.clear();
-    for (const auto& s : split_list(args.get("seeds", "")))
-      config.seeds.push_back(std::stoull(s));
+    for (const auto& s : split_list(args.get("seeds", ""))) {
+      const auto seed = parse_whole<std::uint64_t>(s);
+      if (!seed) {
+        err << "bad seed '" << s
+            << "': --seeds takes whole numbers separated by commas\n";
+        return std::nullopt;
+      }
+      config.seeds.push_back(*seed);
+    }
     if (config.seeds.empty()) {
       err << "--seeds must name at least one seed\n";
       return std::nullopt;
     }
   }
-  if (args.has("jobs")) {
-    const auto jobs = args.get_int("jobs");
-    if (!jobs || *jobs < 0) {
-      err << "--jobs needs a non-negative worker count\n";
-      return std::nullopt;
-    }
-    // 0 keeps the default: as many workers as the hardware allows.
+  // 0 keeps the default: as many workers as the hardware allows.
+  if (const auto jobs = args.get_int("jobs"))
     config.jobs = static_cast<std::size_t>(*jobs);
-  }
   // Experiment pipelines drop raw wire bytes from trace records by default
   // (mining reads digests only); --keep-bytes opts back in, e.g. to pcap-
   // export audit traces.
@@ -447,11 +466,8 @@ int cmd_trace(const Args& args, std::ostream& out, std::ostream& err) {
     err << "unknown implementation\n";
     return 2;
   }
-  const auto spec = topo_by_name(args.get("topo", "mesh-5"));
-  if (!spec) {
-    err << "unknown topology\n";
-    return 2;
-  }
+  const auto spec = topo_by_name(args.get("topo", "mesh-5"), err);
+  if (!spec) return 2;
   harness::Scenario s;
   s.topology = *spec;
   s.ospf_profile = *profile;
@@ -525,7 +541,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
                        topo::Spec{topo::Kind::kMesh, 3}};
   config.seeds = {1};
   config.link_jitter = 400ms;
-  if (const auto jobs = args.get_int("jobs"); jobs && *jobs >= 0)
+  if (const auto jobs = args.get_int("jobs"))
     config.jobs = static_cast<std::size_t>(*jobs);
   config.cache_dir = resolve_cache_dir(args);
   const long long max_ms = args.get_int("max-ms").value_or(1500);
@@ -578,47 +594,6 @@ int cmd_inject(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
-  auto config = config_from(args, err);
-  if (!config) return 2;
-  std::map<std::string, ospf::BehaviorProfile> impls;
-  for (const auto& name : split_list(args.get("impls", "frr,bird"))) {
-    const auto p = ospf_profile_by_name(name);
-    if (!p) {
-      err << "unknown OSPF implementation: " << name << "\n";
-      return 2;
-    }
-    impls.emplace(name, *p);
-  }
-  if (impls.size() < 2) {
-    err << "validate needs at least two implementations\n";
-    return 2;
-  }
-  const auto scheme = scheme_by_name(args.get("scheme", "gtsn"));
-  if (!scheme) {
-    err << "unknown scheme\n";
-    return 2;
-  }
-  std::vector<ospf::BehaviorProfile> profile_list;
-  for (const auto& [name, p] : impls) profile_list.push_back(p);
-  const auto audit = harness::audit_ospf(profile_list, *config, *scheme);
-  out << "mined " << audit.discrepancies.size() << " discrepancies\n";
-  const auto report =
-      harness::validate_discrepancies(audit.discrepancies, impls);
-  int confirmed = 0;
-  for (const auto& entry : report) {
-    out << "[" << to_string(entry.verdict) << "] "
-        << entry.discrepancy.cell.stimulus << " -> "
-        << entry.discrepancy.cell.response << " (present in "
-        << entry.discrepancy.present_in << ")";
-    if (!entry.stimulus.empty()) out << " probed with " << entry.stimulus;
-    out << "\n";
-    if (entry.verdict == harness::Verdict::kConfirmed) ++confirmed;
-  }
-  out << confirmed << "/" << report.size() << " confirmed by injection\n";
-  return 0;
-}
-
 int cmd_triage(const Args& args, std::ostream& out, std::ostream& err) {
   auto config = config_from(args, err);
   if (!config) return 2;
@@ -646,24 +621,10 @@ int cmd_triage(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   tc.scheme = *scheme;
-  if (args.has("max-probes")) {
-    const auto n = args.get_int("max-probes");
-    if (!n || *n < 1) {
-      err << "--max-probes needs a positive probe budget\n";
-      return 2;
-    }
+  if (const auto n = args.get_int("max-probes"))
     tc.max_probes = static_cast<std::size_t>(*n);
-  }
-  if (args.has("max-incidents")) {
-    const auto n = args.get_int("max-incidents");
-    if (!n || *n < 0) {
-      err << "--max-incidents needs a non-negative count\n";
-      return 2;
-    }
+  if (const auto n = args.get_int("max-incidents"))
     tc.max_incidents = static_cast<std::size_t>(*n);
-  }
-  // --from-audit (the default and only source today) is accepted for
-  // forward compatibility with triaging a saved audit report.
 
   const auto result = harness::triage_ospf(impls, tc);
   if (!write_stats_file(args, result.exec, err)) return 2;
@@ -828,10 +789,6 @@ int cmd_cache(const Args& args, std::ostream& out, std::ostream& err) {
   }
   if (action == "prune") {
     const auto days = args.get_int("max-age-days").value_or(30);
-    if (days < 0) {
-      err << "--max-age-days needs a non-negative value\n";
-      return 2;
-    }
     const auto removed = cache::Store::prune(dir, days);
     out << "pruned " << removed << " entries older than " << days
         << " days (plus any unreadable ones)\n";
@@ -865,6 +822,30 @@ int cmd_cache(const Args& args, std::ostream& out, std::ostream& err) {
   return 2;
 }
 
+/// Integer flags and the least value each takes. run_cli rejects a present
+/// flag whose value is not a whole integer at or above its bound before
+/// any command runs, so inside a command get_int's nullopt means "absent".
+constexpr struct {
+  const char* name;
+  long long min;
+} kIntFlags[] = {{"tdelay-ms", 0},    {"duration-s", 0}, {"jobs", 0},
+                 {"seed", 0},         {"max-ms", 0},     {"step-ms", 0},
+                 {"max-age-days", 0}, {"max-probes", 1}, {"max-incidents", 0}};
+
+bool int_flags_valid(const Args& args, std::ostream& err) {
+  for (const auto& flag : kIntFlags) {
+    if (!args.has(flag.name)) continue;
+    const auto value = args.get_int(flag.name);
+    if (!value || *value < flag.min) {
+      err << "--" << flag.name << " needs a "
+          << (flag.min > 0 ? "positive" : "non-negative") << " integer, got '"
+          << args.get(flag.name, "") << "'\n";
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Runs an experiment command inside an ObsSession so --metrics-out /
 /// --trace-out capture it. File-write failures fail an otherwise
 /// successful command.
@@ -883,6 +864,7 @@ int run_cli(const std::vector<std::string>& tokens, std::ostream& out,
   auto args = parse_args(tokens, err);
   if (!args) return 2;
   if (args->command.empty() || args->command == "help") return usage(out);
+  if (!int_flags_valid(*args, err)) return 2;
   if (args->command == "audit")
     return with_obs(*args, err, [&] { return cmd_audit(*args, out, err); });
   if (args->command == "trace") return cmd_trace(*args, out, err);
@@ -890,7 +872,6 @@ int run_cli(const std::vector<std::string>& tokens, std::ostream& out,
   if (args->command == "sweep")
     return with_obs(*args, err, [&] { return cmd_sweep(*args, out, err); });
   if (args->command == "inject") return cmd_inject(*args, out, err);
-  if (args->command == "validate") return cmd_validate(*args, out, err);
   if (args->command == "triage")
     return with_obs(*args, err, [&] { return cmd_triage(*args, out, err); });
   if (args->command == "stability")

@@ -7,6 +7,7 @@
 //   mine       mine a saved trace into relationships
 //   sweep      TDelay calibration sweep
 //   inject     craft-and-probe validation of a stimulus class
+//   triage     minimize each flag and confirm it by injection
 //   stability  per-cell seed-coverage report
 //   cache      maintain the scenario result cache (ls/prune/clear)
 //
@@ -33,6 +34,8 @@ struct Args {
 
   bool has(const std::string& key) const { return flags.count(key) > 0; }
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// The flag's value when all of it is an integer; nullopt when the flag
+  /// is absent or malformed ("12x", "1..8", "").
   std::optional<long long> get_int(const std::string& key) const;
 };
 

@@ -170,15 +170,6 @@ InjectionOutcome inject_and_observe(const InjectionConfig& config) {
   return outcome;
 }
 
-std::string to_string(Verdict v) {
-  switch (v) {
-    case Verdict::kConfirmed: return "CONFIRMED";
-    case Verdict::kNotReproduced: return "not-reproduced";
-    case Verdict::kUnsupported: return "unsupported";
-  }
-  return "?";
-}
-
 std::string stimulus_for_cell(const mining::RelationCell& cell,
                               mining::RelationDirection direction) {
   // The stimulus of a send->recv relationship is what the flagged
@@ -198,51 +189,6 @@ std::string stimulus_for_cell(const mining::RelationCell& cell,
     if (injection_supports(base)) return base;
   }
   return "";
-}
-
-std::vector<ValidationEntry> validate_discrepancies(
-    const std::vector<detect::Discrepancy>& discrepancies,
-    const std::map<std::string, ospf::BehaviorProfile>& impls,
-    const InjectionConfig& base) {
-  // Probe cache: (implementation, stimulus) -> outcome.
-  std::map<std::pair<std::string, std::string>, InjectionOutcome> cache;
-  auto probe = [&](const std::string& impl,
-                   const std::string& stimulus) -> InjectionOutcome {
-    const auto key = std::make_pair(impl, stimulus);
-    auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
-    InjectionConfig config = base;
-    config.stimulus = stimulus;
-    config.target_profile = impls.at(impl);
-    auto outcome = inject_and_observe(config);
-    cache.emplace(key, outcome);
-    return outcome;
-  };
-
-  std::vector<ValidationEntry> out;
-  for (const auto& d : discrepancies) {
-    ValidationEntry entry;
-    entry.discrepancy = d;
-    entry.stimulus = stimulus_for_cell(d.cell, d.direction);
-    if (entry.stimulus.empty() || !impls.count(d.present_in) ||
-        !impls.count(d.absent_in)) {
-      entry.verdict = Verdict::kUnsupported;
-      out.push_back(std::move(entry));
-      continue;
-    }
-    entry.outcome_present = probe(d.present_in, entry.stimulus);
-    entry.outcome_absent = probe(d.absent_in, entry.stimulus);
-    if (!entry.outcome_present.injected || !entry.outcome_absent.injected) {
-      entry.verdict = Verdict::kNotReproduced;
-    } else if (entry.outcome_present.responses !=
-               entry.outcome_absent.responses) {
-      entry.verdict = Verdict::kConfirmed;
-    } else {
-      entry.verdict = Verdict::kNotReproduced;
-    }
-    out.push_back(std::move(entry));
-  }
-  return out;
 }
 
 }  // namespace nidkit::harness

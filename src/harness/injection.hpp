@@ -6,7 +6,9 @@
 // a network containing one router of the *target* implementation plus a
 // prober — a full protocol engine under harness control — establish a real
 // adjacency, inject a crafted packet of class S, and observe whether the
-// target answers with class R within the causal window.
+// target answers with class R within the causal window. Triage
+// (triage.hpp) probes both sides of a flag this way and turns the two
+// outcomes into its verdict with classify_injection.
 #pragma once
 
 #include <map>
@@ -14,8 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "detect/detect.hpp"
 #include "harness/scenario.hpp"
+#include "mining/relation.hpp"
 
 namespace nidkit::harness {
 
@@ -69,41 +71,9 @@ struct InjectionOutcome {
 /// Runs the probe. Deterministic in (config, seed).
 InjectionOutcome inject_and_observe(const InjectionConfig& config);
 
-// ---- Automated discrepancy validation ----
-//
-// Maps each mined discrepancy to a synthesizable stimulus, probes *both*
-// implementations, and classifies the flag:
-//   kConfirmed      — the implementations demonstrably respond differently
-//                     (the exhibiting one produces the response class, the
-//                     other does not);
-//   kNotReproduced  — both respond alike in the 2-router probe (a mining
-//                     artifact, or a behaviour needing multi-router
-//                     context);
-//   kUnsupported    — no synthesizer exists for the stimulus class.
-
-enum class Verdict { kConfirmed, kNotReproduced, kUnsupported };
-
-std::string to_string(Verdict v);
-
-struct ValidationEntry {
-  detect::Discrepancy discrepancy;
-  std::string stimulus;  ///< what was injected (empty if kUnsupported)
-  InjectionOutcome outcome_present;  ///< probe of the exhibiting impl
-  InjectionOutcome outcome_absent;   ///< probe of the lacking impl
-  Verdict verdict = Verdict::kUnsupported;
-};
-
 /// Picks the injection stimulus for a discrepancy cell, or empty if the
 /// class cannot be synthesized in a 2-router probe.
 std::string stimulus_for_cell(const mining::RelationCell& cell,
                               mining::RelationDirection direction);
-
-/// Validates every discrepancy against the named implementations.
-/// Deterministic; probes each (implementation, stimulus) pair once and
-/// caches.
-std::vector<ValidationEntry> validate_discrepancies(
-    const std::vector<detect::Discrepancy>& discrepancies,
-    const std::map<std::string, ospf::BehaviorProfile>& impls,
-    const InjectionConfig& base = {});
 
 }  // namespace nidkit::harness

@@ -12,7 +12,7 @@
 // exactly the state a freshly constructed simulator/network would have
 // (clock, sequence numbers, rng streams, subnet/frame-id counters), so a
 // scenario run on a warm workspace is byte-identical to one run on a cold
-// one — the workspace_test suite and the report-byte-identity CI job hold
+// one — the workspace_test suite and tests/determinism_matrix.sh hold
 // this contract.
 #pragma once
 

@@ -325,7 +325,7 @@ std::string Registry::sim_json() const {
 std::string Registry::metrics_json() const {
   // Line-structured on purpose: "sim" occupies exactly one line so
   // byte-comparisons across --jobs / cache temperature can strip the
-  // wall-clock line with grep (see the metrics-determinism CI job).
+  // wall-clock line with grep (see tests/determinism_matrix.sh).
   std::string out = "{\n\"version\":1,\n";
   append_section(out, "sim", /*wall_clock=*/false);
   out += ",\n";

@@ -1,6 +1,5 @@
 // Shortest-path-first route computation (§16), single area, with
-// equal-cost multipath — flat kernel, memoizing cache, and a retained
-// naive reference implementation.
+// equal-cost multipath — flat kernel and memoizing cache.
 //
 // The flat kernel (`compute_routes`) runs Dijkstra over dense index-based
 // arrays: LSAs are deduplicated into flat per-type vectors fed from the
@@ -19,9 +18,9 @@
 // without a version bump). Probes inside [computed_at, valid_until) with
 // an unchanged version return the cached vector untouched.
 //
-// `compute_routes_reference` is the original std::map/std::set
-// implementation, kept as the oracle for the SPF equivalence property
-// suite (tests/ospf/spf_property_test.cpp).
+// The original std::map/std::set implementation is test support: the
+// oracle the SPF equivalence property suite compares the kernel against
+// (tests/ospf/spf_reference.hpp).
 #pragma once
 
 #include <cstdint>
@@ -93,16 +92,11 @@ struct SpfScratch {
 /// into `out` (cleared first). When `valid_until` is non-null it receives
 /// the earliest instant at which a live LSA crosses MaxAge (SimTime::max()
 /// if none will) — the result is valid for any probe in [now, *valid_until)
-/// at the same Lsdb version. Output is byte-identical to
-/// `compute_routes_reference`.
+/// at the same Lsdb version. Output is byte-identical to the reference
+/// oracle's.
 void compute_routes(const Lsdb& lsdb, RouterId self, SimTime now,
                     SpfScratch& scratch, std::vector<Route>& out,
                     SimTime* valid_until = nullptr);
-
-/// The original std::map/std::set SPF, kept verbatim as the equivalence
-/// oracle. Allocates heavily; use only in tests and benchmarks.
-std::vector<Route> compute_routes_reference(const Lsdb& lsdb, RouterId self,
-                                            SimTime now);
 
 /// Memoized per-router routing table: a probe is a version compare plus a
 /// horizon check; only LSDB content changes or MaxAge crossings trigger a

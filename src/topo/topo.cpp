@@ -34,11 +34,15 @@ std::vector<Spec> extended_topologies() {
   return specs;
 }
 
-Built build(netsim::Network& net, const Spec& spec) {
-  if (spec.routers < 2)
-    throw std::invalid_argument("topology needs at least 2 routers");
+const char* spec_error(const Spec& spec) {
+  if (spec.routers < 2) return "topology needs at least 2 routers";
   if (spec.kind == Kind::kRing && spec.routers < 3)
-    throw std::invalid_argument("a ring needs at least 3 routers");
+    return "a ring needs at least 3 routers";
+  return nullptr;
+}
+
+Built build(netsim::Network& net, const Spec& spec) {
+  if (const char* why = spec_error(spec)) throw std::invalid_argument(why);
 
   Built out;
   out.spec = spec;

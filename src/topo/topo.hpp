@@ -48,9 +48,13 @@ struct Built {
   std::vector<netsim::SegmentId> segments;
 };
 
+/// Why `spec` cannot be built — fewer than 2 routers, or a ring of fewer
+/// than 3 — or nullptr when it can.
+const char* spec_error(const Spec& spec);
+
 /// Instantiates `spec` inside `net` with nodes named r0, r1, ...
-/// Throws std::invalid_argument for specs that make no sense
-/// (fewer than 2 routers, a 1-node ring, ...).
+/// Throws std::invalid_argument with spec_error's reason for a spec that
+/// cannot be built.
 Built build(netsim::Network& net, const Spec& spec);
 
 }  // namespace nidkit::topo

@@ -112,6 +112,36 @@ TEST(Cli, AuditRejectsBadTopology) {
   const auto r = run({"audit", "--impls", "frr,bird", "--topos", "moebius-3"});
   EXPECT_NE(r.code, 0);
   EXPECT_NE(r.err.find("unknown topology"), std::string::npos);
+  // Shapes topo::build refuses are usage errors, not aborts.
+  for (const auto* topo : {"mesh-0", "ring-2", "lan-1", "mesh-3x"}) {
+    const auto bad = run({"audit", "--impls", "frr,bird", "--topos", topo});
+    EXPECT_EQ(bad.code, 2) << topo;
+    EXPECT_NE(bad.err.find(topo), std::string::npos) << bad.err;
+  }
+  const auto trace = run({"trace", "--topo", "mesh-1"});
+  EXPECT_EQ(trace.code, 2);
+  EXPECT_NE(trace.err.find("at least 2 routers"), std::string::npos);
+}
+
+TEST(Cli, AuditRejectsMalformedSeeds) {
+  // Every token must be a whole seed ("1..8" once ran seed 1 alone), and
+  // the message names the bad one.
+  const std::pair<const char*, const char*> cases[] = {
+      {"x", "'x'"}, {"1..8", "'1..8'"}, {"2,3x", "'3x'"}, {"-1", "'-1'"}};
+  for (const auto& [seeds, token] : cases) {
+    const auto r = run({"audit", "--impls", "frr,bird", "--seeds", seeds});
+    EXPECT_EQ(r.code, 2) << seeds;
+    EXPECT_NE(r.err.find(token), std::string::npos) << r.err;
+  }
+}
+
+TEST(Cli, AuditRejectsNegativeDurations) {
+  for (const auto* flag : {"--tdelay-ms", "--duration-s"}) {
+    const auto r = run({"audit", "--impls", "frr,bird", flag, "-5"});
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "");
+  }
 }
 
 TEST(Cli, TraceThenMineRoundTrips) {
@@ -152,13 +182,14 @@ TEST(Cli, InjectRejectsUnknownStimulus) {
 }
 
 TEST(Cli, ValidateConfirmsFlagsByInjection) {
-  const auto r = run({"validate", "--impls", "frr,bird", "--topos",
+  // Triage is the one injection verdict: on a small matrix it minimizes
+  // the flag and confirms it by probing both implementations.
+  const auto r = run({"triage", "--impls", "frr,bird", "--topos",
                       "linear-2,mesh-3", "--seeds", "1", "--duration-s",
                       "120"});
   EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("mined"), std::string::npos);
-  EXPECT_NE(r.out.find("CONFIRMED"), std::string::npos);
-  EXPECT_NE(r.out.find("confirmed by injection"), std::string::npos);
+  EXPECT_NE(r.out.find("flagged"), std::string::npos);
+  EXPECT_NE(r.out.find("[confirmed]"), std::string::npos) << r.out;
 }
 
 TEST(Cli, SweepPrintsSeries) {
@@ -168,6 +199,20 @@ TEST(Cli, SweepPrintsSeries) {
   EXPECT_NE(r.out.find("tdelay_ms"), std::string::npos);
   // 0, 150, 300 => header + 3 rows.
   EXPECT_EQ(std::count(r.out.begin(), r.out.end(), '\n'), 4);
+}
+
+TEST(Cli, SweepRejectsMalformedJobs) {
+  for (const auto* jobs : {"x", "-3"}) {
+    const auto r = run({"sweep", "--impl", "frr", "--jobs", jobs});
+    EXPECT_EQ(r.code, 2) << jobs;
+    EXPECT_NE(r.err.find("--jobs"), std::string::npos) << r.err;
+  }
+}
+
+TEST(Cli, TraceRejectsMalformedSeed) {
+  const auto r = run({"trace", "--topo", "linear-2", "--seed", "7s"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("--seed"), std::string::npos) << r.err;
 }
 
 TEST(Cli, StabilityPrintsSeedFractions) {
@@ -195,6 +240,16 @@ TEST(Cli, CacheNeedsADirectory) {
   const auto r = run({"cache", "ls", "--no-cache"});
   EXPECT_NE(r.code, 0);
   EXPECT_NE(r.err.find("cache-dir"), std::string::npos);
+}
+
+TEST(Cli, CachePruneRejectsMalformedAge) {
+  // A malformed age once pruned with the 30-day default.
+  for (const auto* days : {"x", "-1"}) {
+    const auto r = run({"cache", "prune", "--cache-dir", "cli_prune.tmp",
+                        "--max-age-days", days});
+    EXPECT_EQ(r.code, 2) << days;
+    EXPECT_NE(r.err.find("--max-age-days"), std::string::npos) << r.err;
+  }
 }
 
 TEST(Cli, CacheRejectsUnknownAction) {

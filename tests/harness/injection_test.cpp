@@ -1,11 +1,14 @@
 // Packet-injection validation tests (the paper's future-work feature):
 // each supported stimulus class is injected into a target implementation
-// and the response classes are asserted.
+// and the response classes are asserted; the Validation cases run both
+// sides of a flag through triage's verdict.
 #include "harness/injection.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+
+#include "harness/triage.hpp"
 
 namespace nidkit::harness {
 namespace {
@@ -168,47 +171,62 @@ TEST(Validation, StimulusForCellMapsRefinements) {
   EXPECT_EQ(stimulus_for_cell(RelationCell{"Bogus", "X"}, dir), "");
 }
 
+/// Probes both sides of `d` with its cell's stimulus and returns triage's
+/// verdict on the two outcomes.
+Confirmation probe_and_classify(const detect::Discrepancy& d,
+                                const ospf::BehaviorProfile& present,
+                                const ospf::BehaviorProfile& absent,
+                                std::string& reason) {
+  const auto stimulus = stimulus_for_cell(d.cell, d.direction);
+  InjectionOutcome present_out, absent_out;
+  if (!stimulus.empty()) {
+    present_out = inject_and_observe(config_for(stimulus, present));
+    absent_out = inject_and_observe(config_for(stimulus, absent));
+  }
+  return classify_injection(d, stimulus, present_out, absent_out, reason);
+}
+
 TEST(Validation, ConfirmsTheTable2Flag) {
   detect::Discrepancy d;
   d.direction = mining::RelationDirection::kSendToRecv;
   d.cell = {"LSU", "LSAck+gtSN"};
   d.present_in = "bird";
   d.absent_in = "frr";
-  const std::map<std::string, ospf::BehaviorProfile> impls = {
-      {"frr", ospf::frr_profile()}, {"bird", ospf::bird_profile()}};
-  const auto report = validate_discrepancies({d}, impls);
-  ASSERT_EQ(report.size(), 1u);
-  EXPECT_EQ(report[0].verdict, Verdict::kConfirmed);
-  EXPECT_EQ(report[0].stimulus, "LSU-stale");
-  EXPECT_TRUE(report[0].outcome_present.saw("LSAck+gtSN"));
-  EXPECT_FALSE(report[0].outcome_absent.saw("LSAck+gtSN"));
+  EXPECT_EQ(stimulus_for_cell(d.cell, d.direction), "LSU-stale");
+  std::string reason;
+  EXPECT_EQ(probe_and_classify(d, ospf::bird_profile(), ospf::frr_profile(),
+                               reason),
+            Confirmation::kConfirmed);
+  EXPECT_EQ(reason, "");
 }
 
 TEST(Validation, UnknownImplementationIsUnsupported) {
+  // Triage probes profiles, not names, so an unknown implementation cannot
+  // arise; the nearest case is a cell no synthesizer can inject.
   detect::Discrepancy d;
-  d.cell = {"LSR", "LSU"};
+  d.cell = {"Bogus", "LSU"};
   d.present_in = "quagga";
   d.absent_in = "frr";
-  const std::map<std::string, ospf::BehaviorProfile> impls = {
-      {"frr", ospf::frr_profile()}};
-  const auto report = validate_discrepancies({d}, impls);
-  ASSERT_EQ(report.size(), 1u);
-  EXPECT_EQ(report[0].verdict, Verdict::kUnsupported);
+  std::string reason;
+  EXPECT_EQ(probe_and_classify(d, ospf::frr_profile(), ospf::frr_profile(),
+                               reason),
+            Confirmation::kUnconfirmed);
+  EXPECT_EQ(reason, "no injection synthesizer for stimulus class 'Bogus'");
 }
 
 TEST(Validation, IdenticalBehaviourNotReproduced) {
   // LSR handling is identical across profiles; a (hypothetical) flag on
-  // it must come back not-reproduced.
+  // it must come back refuted.
   detect::Discrepancy d;
   d.direction = mining::RelationDirection::kSendToRecv;
   d.cell = {"LSR", "LSU"};
   d.present_in = "frr";
   d.absent_in = "strict";
-  const std::map<std::string, ospf::BehaviorProfile> impls = {
-      {"frr", ospf::frr_profile()}, {"strict", ospf::strict_profile()}};
-  const auto report = validate_discrepancies({d}, impls);
-  ASSERT_EQ(report.size(), 1u);
-  EXPECT_EQ(report[0].verdict, Verdict::kNotReproduced);
+  std::string reason;
+  EXPECT_EQ(probe_and_classify(d, ospf::frr_profile(), ospf::strict_profile(),
+                               reason),
+            Confirmation::kRefuted);
+  EXPECT_EQ(reason, "both implementations respond identically to LSR");
 }
 
 TEST(Injection, DeterministicAcrossRuns) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "mining/miner.hpp"
 
 namespace nidkit::harness {
@@ -45,6 +47,21 @@ TEST(Scenario, DifferentSeedsDiverge) {
   EXPECT_TRUE(differs);
 }
 
+// gtest prints a parameter without a printer as its raw bytes, and CTest
+// test names include that text; zeroing the padding keeps the names the
+// same on every run.
+std::vector<topo::Spec> scenario_topologies() {
+  std::vector<topo::Spec> specs;
+  for (const auto& spec : topo::extended_topologies()) {
+    topo::Spec s;
+    std::memset(static_cast<void*>(&s), 0, sizeof s);
+    s.kind = spec.kind;
+    s.routers = spec.routers;
+    specs.push_back(s);
+  }
+  return specs;
+}
+
 class ScenarioTopologies : public ::testing::TestWithParam<topo::Spec> {};
 
 TEST_P(ScenarioTopologies, ConvergesWithBothProfiles) {
@@ -61,7 +78,7 @@ TEST_P(ScenarioTopologies, ConvergesWithBothProfiles) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperAndExtended, ScenarioTopologies,
-    ::testing::ValuesIn(topo::extended_topologies()),
+    ::testing::ValuesIn(scenario_topologies()),
     [](const auto& info) {
       auto name = info.param.name();
       for (auto& c : name)

@@ -169,6 +169,11 @@ struct ClassifyCase {
   std::string reason_contains;
 };
 
+// Without a printer gtest prints the case as its raw bytes, pointers
+// included, and CTest test names include that text; print the name so the
+// names are the same on every run.
+void PrintTo(const ClassifyCase& c, std::ostream* os) { *os << c.name; }
+
 class TriageClassify : public ::testing::TestWithParam<ClassifyCase> {};
 
 TEST_P(TriageClassify, Table) {

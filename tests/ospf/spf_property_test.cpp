@@ -15,6 +15,7 @@
 
 #include "ospf/lsdb.hpp"
 #include "ospf/spf.hpp"
+#include "spf_reference.hpp"
 #include "util/rng.hpp"
 
 using namespace nidkit;
