@@ -1,28 +1,25 @@
 // Result-cache benchmark + correctness gate.
 //
 // Runs the paper's default audit (4 topologies × 3 seeds, frr vs bird)
-// cold into a fresh cache directory, warm from the loose files, then
-// compacts into pack files and runs warm again from the mmap'd packs,
-// and measures:
+// cold into a fresh cache directory, warm from the segment the cold run
+// wrote, then compacts and runs warm again, and measures:
 //
 //   cold_ms / warm_ms     end-to-end audit wall clock — the headline
 //                         number: a warm cache replays every scenario
-//                         instead of simulating it. warm_ms is the packed
-//                         run; warm_loose_ms the pre-compact one.
+//                         instead of simulating it. warm_ms is the run
+//                         after compact; warm_precompact_ms the one before.
 //   mean_lookup_us        mean per-entry Store::get latency against the
-//                         packed store, fresh Store instances so every
-//                         get decodes from the mapping (no memory hits).
-//   mean_loose_lookup_us  the same measurement before compaction — the
-//                         open+read+decode path packs exist to beat.
+//                         compacted directory, through one long-lived
+//                         Store (every get decodes from the mapping).
 //   mean_batch_lookup_us  per-key latency of one Store::get_batch over
 //                         the full key set (the run_cached warm path).
 //
 // Exit status: nonzero if any warm report JSON differs from the cold one
-// byte-for-byte, if a warm run missed, if the packed run was not served
-// entirely from packs, or if the packed mean lookup exceeds the gate —
-// 3µs by default in full mode (the ISSUE's acceptance floor), override
-// or enable in short mode with --gate-lookup-us N. Full mode also keeps
-// the warm-speedup >= 5x floor. Results are printed and written to
+// byte-for-byte, if a warm run missed, if compact did not keep every
+// entry, if a warm hit was not read from a segment, or if the mean lookup
+// exceeds the gate — 3µs by default in full mode, override or enable in
+// short mode with --gate-lookup-us N. Full mode also keeps the
+// warm-speedup >= 5x floor. Results are printed and written to
 // BENCH_cache.json (override with --out).
 #include <chrono>
 #include <cstdio>
@@ -33,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/pack.hpp"
 #include "cache/store.hpp"
 #include "detect/json.hpp"
 #include "harness/experiment.hpp"
@@ -65,34 +61,24 @@ Run run_audit(const harness::ExperimentConfig& config) {
 
 /// Per-entry Store::get latency over every entry in `dir`: the minimum
 /// per-round mean across `rounds` timed rounds of >= `min_lookups` gets
-/// each. Min-of-means rather than one long mean because the gate runs on
-/// shared CI machines — a scheduler preemption can inflate a mean but
-/// never deflate a minimum, so the number is the achievable steady-state
-/// latency and the regression gate does not flap on noise.
-///
-/// `fresh_store_per_pass` controls what each get pays. For the loose
-/// store it must be true: loose hits are promoted into the in-process
-/// memory map, so a reused Store would measure memory hits instead of
-/// disk decodes. For the packed store it should be false: pack hits are
-/// never promoted (every get decodes from the mapping), so one
-/// long-lived Store measures exactly what a warm fleet process pays —
-/// open the manifest once, look entries up many times.
+/// each, through one long-lived Store — what a warm fleet process pays:
+/// index the directory once, look entries up many times. Min-of-means
+/// rather than one long mean because the gate runs on shared CI machines —
+/// a scheduler preemption can inflate a mean but never deflate a minimum,
+/// so the number is the achievable steady-state latency and the
+/// regression gate does not flap on noise.
 double mean_lookup_us(const std::string& dir,
                       const std::vector<cache::ScenarioKey>& keys,
-                      bool fresh_store_per_pass,
                       std::size_t rounds = 8,
                       std::size_t min_lookups = 2048) {
   if (keys.empty()) return 0;
-  cache::Store reused(dir);
+  cache::Store store(dir);
   double best_us = 0;
   for (std::size_t round = 0; round < rounds; ++round) {
     std::size_t done = 0;
     std::size_t found = 0;
     const auto start = Clock::now();
     while (done < min_lookups) {
-      std::optional<cache::Store> fresh;
-      if (fresh_store_per_pass) fresh.emplace(dir);
-      cache::Store& store = fresh ? *fresh : reused;
       for (const auto& key : keys)
         if (store.get(key).has_value()) ++found;
       done += keys.size();
@@ -106,7 +92,7 @@ double mean_lookup_us(const std::string& dir,
   return best_us;
 }
 
-/// Per-key latency of batched lookups against the packed store (one
+/// Per-key latency of batched lookups against the compacted store (one
 /// long-lived Store, min-of-means — same reasoning as mean_lookup_us).
 double mean_batch_lookup_us(const std::string& dir,
                             const std::vector<cache::ScenarioKey>& keys,
@@ -174,76 +160,70 @@ int main(int argc, char** argv) {
               short_mode ? "short" : "full");
 
   const Run cold = run_audit(config);
-  const Run warm_loose = run_audit(config);
+  const Run warm_precompact = run_audit(config);
 
   std::vector<cache::ScenarioKey> keys;
   for (const auto& f : cache::Store::ls(config.cache_dir))
     keys.push_back(f.key);
-  const double loose_lookup_us =
-      mean_lookup_us(config.cache_dir, keys, /*fresh_store_per_pass=*/true);
 
   const auto compacted = cache::compact(config.cache_dir);
   const bool compact_ok = compacted.has_value() &&
-                          compacted->packed == keys.size() &&
+                          compacted->kept == keys.size() &&
                           compacted->skipped == 0;
-  const Run warm_packed = run_audit(config);
-  const double packed_lookup_us =
-      mean_lookup_us(config.cache_dir, keys, /*fresh_store_per_pass=*/false);
+  const Run warm = run_audit(config);
+  const double lookup_us = mean_lookup_us(config.cache_dir, keys);
   const double batch_lookup_us =
       mean_batch_lookup_us(config.cache_dir, keys);
 
-  const auto files = cache::Store::ls(config.cache_dir);
   std::uint64_t cache_bytes = 0;
-  for (const auto& f : files) cache_bytes += f.bytes;
+  for (const auto& f : cache::Store::ls(config.cache_dir))
+    cache_bytes += f.bytes;
   fs::remove_all(dir);
 
   const bool identical =
-      cold.json == warm_loose.json && cold.json == warm_packed.json;
-  const bool all_hits =
-      warm_loose.exec.cache_misses == 0 && warm_packed.exec.cache_misses == 0 &&
-      warm_loose.exec.cache_hits == cold.exec.cache_misses &&
-      warm_packed.exec.cache_hits == cold.exec.cache_misses;
-  const bool all_packed =
-      warm_packed.exec.cache_pack_hits == warm_packed.exec.cache_hits;
-  const double speedup = warm_packed.wall_ms > 0
-                             ? cold.wall_ms / warm_packed.wall_ms
-                             : 0;
+      cold.json == warm_precompact.json && cold.json == warm.json;
+  bool all_hits = true;
+  bool all_from_segments = true;
+  for (const Run* run : {&warm_precompact, &warm}) {
+    all_hits = all_hits && run->exec.cache_misses == 0 &&
+               run->exec.cache_hits == cold.exec.cache_misses;
+    all_from_segments = all_from_segments &&
+                        run->exec.cache_pack_hits == run->exec.cache_hits;
+  }
+  const double speedup = warm.wall_ms > 0 ? cold.wall_ms / warm.wall_ms : 0;
 
   char json[1024];
   std::snprintf(
       json, sizeof(json),
       "{\"bench\":\"cache\",\"mode\":\"%s\",\"scenarios\":%llu,"
-      "\"cold_ms\":%.2f,\"warm_loose_ms\":%.2f,\"warm_ms\":%.2f,"
+      "\"cold_ms\":%.2f,\"warm_precompact_ms\":%.2f,\"warm_ms\":%.2f,"
       "\"speedup\":%.2f,\"mean_lookup_us\":%.2f,"
-      "\"mean_loose_lookup_us\":%.2f,\"mean_batch_lookup_us\":%.2f,"
+      "\"mean_batch_lookup_us\":%.2f,"
       "\"cache_bytes\":%llu,\"warm_hits\":%llu,\"warm_pack_hits\":%llu,"
       "\"warm_misses\":%llu,\"report_json_identical\":%s}",
       short_mode ? "short" : "full",
       static_cast<unsigned long long>(cold.exec.cache_misses), cold.wall_ms,
-      warm_loose.wall_ms, warm_packed.wall_ms, speedup, packed_lookup_us,
-      loose_lookup_us, batch_lookup_us,
-      static_cast<unsigned long long>(cache_bytes),
-      static_cast<unsigned long long>(warm_packed.exec.cache_hits),
-      static_cast<unsigned long long>(warm_packed.exec.cache_pack_hits),
-      static_cast<unsigned long long>(warm_packed.exec.cache_misses),
+      warm_precompact.wall_ms, warm.wall_ms, speedup, lookup_us,
+      batch_lookup_us, static_cast<unsigned long long>(cache_bytes),
+      static_cast<unsigned long long>(warm.exec.cache_hits),
+      static_cast<unsigned long long>(warm.exec.cache_pack_hits),
+      static_cast<unsigned long long>(warm.exec.cache_misses),
       identical ? "true" : "false");
   std::printf("%s\n\n", json);
 
   std::printf("correctness checks:\n"
               "  warm report JSONs byte-identical to cold:  %s\n"
               "  warm runs served entirely from cache:      %s\n"
-              "  compact packed every entry:                %s\n"
-              "  packed run served entirely from packs:     %s\n",
+              "  compact kept every entry:                  %s\n"
+              "  every warm hit read from a segment:        %s\n",
               identical ? "yes" : "NO", all_hits ? "yes" : "NO",
-              compact_ok ? "yes" : "NO", all_packed ? "yes" : "NO");
-  const bool lookup_ok =
-      gate_lookup_us <= 0 || packed_lookup_us <= gate_lookup_us;
+              compact_ok ? "yes" : "NO", all_from_segments ? "yes" : "NO");
+  const bool lookup_ok = gate_lookup_us <= 0 || lookup_us <= gate_lookup_us;
   if (gate_lookup_us > 0)
     std::printf("lookup gate:\n"
-                "  packed mean lookup <= %.1fus: %s (%.2fus; loose %.2fus,"
-                " batch %.2fus)\n",
-                gate_lookup_us, lookup_ok ? "yes" : "NO", packed_lookup_us,
-                loose_lookup_us, batch_lookup_us);
+                "  mean lookup <= %.1fus: %s (%.2fus; batch %.2fus)\n",
+                gate_lookup_us, lookup_ok ? "yes" : "NO", lookup_us,
+                batch_lookup_us);
   std::printf("speedup check (%s in %s mode):\n"
               "  warm >= 5x faster than cold: %s (%.1fx)\n",
               short_mode ? "informational only" : "enforced",
@@ -257,7 +237,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
   }
 
-  if (!identical || !all_hits || !compact_ok || !all_packed) return 1;
+  if (!identical || !all_hits || !compact_ok || !all_from_segments) return 1;
   if (!lookup_ok) return 1;
   if (!short_mode && speedup < 5.0) return 1;
   return 0;

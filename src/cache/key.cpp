@@ -102,15 +102,21 @@ ScenarioKey scenario_key(const harness::Scenario& scenario,
   fp.f64(miner.window_factor);
   hash_duration(fp, miner.horizon);
 
-  // Scenario — every field in declaration order, except keep_bytes:
-  // mining reads digests only, so dropping or keeping raw wire bytes
-  // cannot change any cached payload (pinned by Key.KeepBytesIrrelevant).
+  // Scenario — every field in declaration order, except keep_bytes
+  // (mining reads digests only, so dropping or keeping raw wire bytes
+  // cannot change any cached payload; pinned by Key.KeepBytesIrrelevant)
+  // and the profiles of the protocols the scenario does not run, which
+  // run_scenario never reads.
   fp.u8(static_cast<std::uint8_t>(scenario.protocol));
   hash_spec(fp, scenario.topology);
-  hash_ospf_profile(fp, scenario.ospf_profile);
-  hash_rip_profile(fp, scenario.rip_profile);
-  hash_bgp_profile(fp, scenario.bgp_profile);
-  fp.u64(scenario.bgp_longpath_prepend);
+  if (scenario.protocol == harness::Protocol::kOspf)
+    hash_ospf_profile(fp, scenario.ospf_profile);
+  if (scenario.protocol == harness::Protocol::kRip)
+    hash_rip_profile(fp, scenario.rip_profile);
+  if (scenario.protocol == harness::Protocol::kBgp) {
+    hash_bgp_profile(fp, scenario.bgp_profile);
+    fp.u64(scenario.bgp_longpath_prepend);
+  }
   hash_duration(fp, scenario.tdelay);
   hash_duration(fp, scenario.link_jitter);
   fp.f64(scenario.link_loss);

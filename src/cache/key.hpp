@@ -1,9 +1,10 @@
 // Content-addressed scenario keys.
 //
 // A ScenarioKey is a 128-bit fingerprint over every input that can change
-// what a scenario run produces: the full harness::Scenario (topology,
-// protocol, behaviour profiles, delays, loss, seed, churn schedule, state
-// probing — everything except presentation-only knobs like keep_bytes),
+// what a scenario run produces: the harness::Scenario (topology, protocol,
+// the behaviour profile of that protocol, delays, loss, seed, churn
+// schedule, state probing — everything except presentation-only knobs
+// like keep_bytes and the profiles of the protocols it does not run),
 // the mining::MinerConfig it will be mined with, the key-scheme id, the
 // payload kind, and a format-version constant that is bumped whenever the
 // cached encoding or the key derivation itself changes. Two scenarios with
@@ -30,10 +31,10 @@
 
 namespace nidkit::cache {
 
-/// Bump on any change to the key derivation or the on-disk entry
-/// encoding. Old entries then simply miss (different key → different
-/// file name); no migration logic is ever needed.
-inline constexpr std::uint32_t kCacheFormatVersion = 3;
+/// Bump on any change to the key derivation or the on-disk encoding. Old
+/// entries then simply miss (different key, and the entry framing echoes
+/// the version); no migration logic is ever needed.
+inline constexpr std::uint32_t kCacheFormatVersion = 4;
 
 /// What the cached entry holds. Folded into the key so the two payload
 /// shapes mined from one scenario (full relation set vs. sweep accuracy
@@ -46,10 +47,8 @@ enum class PayloadKind : std::uint8_t {
 struct ScenarioKey {
   util::Digest128 digest;
 
-  /// 32 lowercase hex chars — the on-disk file stem.
+  /// 32 lowercase hex chars, as `nidt cache ls` prints the key.
   std::string hex() const { return digest.hex(); }
-  /// First two hex chars — the shard directory name.
-  std::string prefix() const { return hex().substr(0, 2); }
 
   friend auto operator<=>(const ScenarioKey&, const ScenarioKey&) = default;
 };

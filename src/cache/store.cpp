@@ -1,18 +1,20 @@
 #include "cache/store.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <system_error>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 #include "mining/relation_codec.hpp"
+#include "util/bytes.hpp"
 
 namespace nidkit::cache {
 
@@ -21,70 +23,54 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4E494443;  // "NIDC"
-constexpr const char* kExtension = ".nidc";
-constexpr const char* kHitsExtension = ".hits";
-
-fs::path hits_path(const fs::path& entry) {
-  fs::path p = entry;
-  p += kHitsExtension;
-  return p;
-}
-
-/// Appends one byte to the entry's hit sidecar. O_APPEND writes of one
-/// byte never interleave, so the count (= file size) stays exact under
-/// concurrent readers; failures are swallowed like every other cache I/O.
-void record_hit_on_disk(const fs::path& entry) {
-  std::ofstream file(hits_path(entry), std::ios::binary | std::ios::app);
-  if (file) file.put('h');
-}
-
-std::uint64_t hits_of(const fs::path& entry) {
-  std::error_code ec;
-  const auto size = fs::file_size(hits_path(entry), ec);
-  return ec ? 0 : size;
-}
-
-void write_u64(ByteWriter& out, std::uint64_t v) {
-  out.u32(static_cast<std::uint32_t>(v >> 32));
-  out.u32(static_cast<std::uint32_t>(v));
-}
-
-std::uint64_t read_u64(ByteReader& in) {
-  const std::uint64_t hi = in.u32();
-  return (hi << 32) | in.u32();
-}
+/// length + checksum + written_at_s.
+constexpr std::size_t kHeaderBytes = 4 + 8 + 8;
+/// Magic + version + key echo: the least an entry holds and still names
+/// its key.
+constexpr std::size_t kMinEntryBytes = 4 + 4 + 16;
 
 void encode_summary(const ScenarioSummary& s, ByteWriter& out) {
-  write_u64(out, s.routers);
-  write_u64(out, s.segments);
-  write_u64(out, s.full_adjacencies);
+  out.u64(s.routers);
+  out.u64(s.segments);
+  out.u64(s.full_adjacencies);
   out.u8(s.converged ? 1 : 0);
   out.u8(s.routes_consistent ? 1 : 0);
-  write_u64(out, static_cast<std::uint64_t>(s.convergence_time_us));
-  write_u64(out, s.frames_delivered);
-  write_u64(out, s.frames_dropped);
+  out.u64(static_cast<std::uint64_t>(s.convergence_time_us));
+  out.u64(s.frames_delivered);
+  out.u64(s.frames_dropped);
 }
 
 ScenarioSummary decode_summary(ByteReader& in) {
   ScenarioSummary s;
-  s.routers = read_u64(in);
-  s.segments = read_u64(in);
-  s.full_adjacencies = read_u64(in);
+  s.routers = in.u64();
+  s.segments = in.u64();
+  s.full_adjacencies = in.u64();
   s.converged = in.u8() != 0;
   s.routes_consistent = in.u8() != 0;
-  s.convergence_time_us = static_cast<std::int64_t>(read_u64(in));
-  s.frames_delivered = read_u64(in);
-  s.frames_dropped = read_u64(in);
+  s.convergence_time_us = static_cast<std::int64_t>(in.u64());
+  s.frames_delivered = in.u64();
+  s.frames_dropped = in.u64();
   return s;
 }
 
 void encode_sweep(const SweepStats& s, ByteWriter& out) {
-  write_u64(out, s.mined_pairs);
-  write_u64(out, s.truth_pairs);
-  write_u64(out, s.correct_pairs);
-  write_u64(out, s.mined_cells);
-  write_u64(out, s.unobserved_cells);
-  write_u64(out, s.spurious_cells);
+  out.u64(s.mined_pairs);
+  out.u64(s.truth_pairs);
+  out.u64(s.correct_pairs);
+  out.u64(s.mined_cells);
+  out.u64(s.unobserved_cells);
+  out.u64(s.spurious_cells);
+}
+
+SweepStats decode_sweep(ByteReader& in) {
+  SweepStats s;
+  s.mined_pairs = in.u64();
+  s.truth_pairs = in.u64();
+  s.correct_pairs = in.u64();
+  s.mined_cells = in.u64();
+  s.unobserved_cells = in.u64();
+  s.spurious_cells = in.u64();
+  return s;
 }
 
 void encode_metrics(const obs::ScenarioMetrics& m, ByteWriter& out) {
@@ -94,7 +80,7 @@ void encode_metrics(const obs::ScenarioMetrics& m, ByteWriter& out) {
     out.u16(static_cast<std::uint16_t>(name.size()));
     out.bytes(std::span(reinterpret_cast<const std::uint8_t*>(name.data()),
                         name.size()));
-    write_u64(out, value);
+    out.u64(value);
   }
 }
 
@@ -112,7 +98,7 @@ std::optional<obs::ScenarioMetrics> decode_metrics(ByteReader& in) {
     if (!in.ok()) return std::nullopt;
     std::string name(reinterpret_cast<const char*>(name_bytes.data()),
                      name_bytes.size());
-    const std::uint64_t value = read_u64(in);
+    const std::uint64_t value = in.u64();
     if (!in.ok()) return std::nullopt;
     m.append_sorted(std::move(name), value);
   }
@@ -137,17 +123,6 @@ std::optional<cov::CoverageVector> decode_coverage(ByteReader& in) {
   return cv;
 }
 
-SweepStats decode_sweep(ByteReader& in) {
-  SweepStats s;
-  s.mined_pairs = read_u64(in);
-  s.truth_pairs = read_u64(in);
-  s.correct_pairs = read_u64(in);
-  s.mined_cells = read_u64(in);
-  s.unobserved_cells = read_u64(in);
-  s.spurious_cells = read_u64(in);
-  return s;
-}
-
 /// Header = magic + version + key echo + payload kind. Returns the kind,
 /// or nullopt if the framing is malformed or names a different key.
 std::optional<PayloadKind> decode_header(ByteReader& in,
@@ -167,65 +142,19 @@ std::optional<PayloadKind> decode_header(ByteReader& in,
   return static_cast<PayloadKind>(kind);
 }
 
-std::optional<ScenarioKey> key_from_stem(const std::string& stem) {
-  if (stem.size() != 32) return std::nullopt;
-  ScenarioKey key;
-  for (std::size_t i = 0; i < 16; ++i) {
-    auto nibble = [](char c) -> int {
-      if (c >= '0' && c <= '9') return c - '0';
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-      return -1;
-    };
-    const int hi = nibble(stem[2 * i]);
-    const int lo = nibble(stem[2 * i + 1]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    key.digest.bytes[i] = static_cast<std::uint8_t>((hi << 4) | lo);
-  }
-  return key;
-}
-
-std::optional<std::vector<std::uint8_t>> read_file(const fs::path& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return std::nullopt;
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(file)),
-      std::istreambuf_iterator<char>());
-  if (file.bad()) return std::nullopt;
-  return bytes;
-}
-
-/// All loose entry files under `dir`, unsorted, skipping the packs
-/// directory. Missing directory → empty.
-std::vector<fs::path> entry_files(const std::string& dir) {
-  std::vector<fs::path> out;
-  std::error_code ec;
-  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    std::error_code sub;
-    if (!it->is_directory(sub) || it->path().filename() == kPacksDirName)
-      continue;
-    for (fs::directory_iterator shard(it->path(), sub), send;
-         !sub && shard != send; shard.increment(sub)) {
-      if (shard->is_regular_file(sub) &&
-          shard->path().extension() == kExtension)
-        out.push_back(shard->path());
-    }
-  }
-  return out;
-}
-
-double age_seconds_of(const fs::path& path) {
-  std::error_code ec;
-  const auto mtime = fs::last_write_time(path, ec);
-  if (ec) return 0;
-  const auto age = fs::file_time_type::clock::now() - mtime;
-  return std::chrono::duration<double>(age).count();
-}
-
 std::int64_t now_epoch_seconds() {
   return std::chrono::duration_cast<std::chrono::seconds>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
+}
+
+/// A segment or temp file name no other writer can pick: this process's
+/// id, the clock and a per-process serial.
+std::string unique_stem() {
+  static std::atomic<std::uint64_t> serial{0};
+  const auto ns = std::chrono::system_clock::now().time_since_epoch().count();
+  return std::to_string(::getpid()) + "-" + std::to_string(ns) + "-" +
+         std::to_string(serial.fetch_add(1));
 }
 
 }  // namespace
@@ -280,188 +209,197 @@ std::uint32_t peek_entry_format(std::span<const std::uint8_t> bytes) {
   return in.ok() ? version : 0;
 }
 
-Store::Store(std::string dir) : dir_(std::move(dir)) {}
-
-std::string Store::entry_path(const ScenarioKey& key) const {
-  return (fs::path(dir_) / key.prefix() / (key.hex() + kExtension))
-      .string();
+std::uint64_t pack_checksum(std::span<const std::uint8_t> bytes) {
+  // Four independent accumulators keep the multiply latency off the
+  // critical path; the lane position picks the accumulator, so reordering
+  // words changes the digest too.
+  constexpr std::uint64_t kPrime = 0x100000001b3ull;  // FNV-1a 64-bit prime
+  std::uint64_t h0 = 0xcbf29ce484222325ull ^ (bytes.size() * kPrime);
+  std::uint64_t h1 = 0x9e3779b97f4a7c15ull;
+  std::uint64_t h2 = 0xc2b2ae3d27d4eb4full;
+  std::uint64_t h3 = 0x165667b19e3779f9ull;
+  std::size_t i = 0;
+  for (; i + 32 <= bytes.size(); i += 32) {
+    std::uint64_t k0, k1, k2, k3;
+    std::memcpy(&k0, bytes.data() + i, 8);
+    std::memcpy(&k1, bytes.data() + i + 8, 8);
+    std::memcpy(&k2, bytes.data() + i + 16, 8);
+    std::memcpy(&k3, bytes.data() + i + 24, 8);
+    h0 = (h0 ^ k0) * kPrime;
+    h1 = (h1 ^ k1) * kPrime;
+    h2 = (h2 ^ k2) * kPrime;
+    h3 = (h3 ^ k3) * kPrime;
+  }
+  for (; i + 8 <= bytes.size(); i += 8) {
+    std::uint64_t k;
+    std::memcpy(&k, bytes.data() + i, 8);
+    h0 = (h0 ^ k) * kPrime;
+  }
+  if (i < bytes.size()) {
+    std::uint64_t tail = 0;
+    for (std::size_t j = 0; i + j < bytes.size(); ++j)
+      tail |= static_cast<std::uint64_t>(bytes[i + j]) << (8 * j);
+    h0 = (h0 ^ tail) * kPrime;
+  }
+  std::uint64_t h = (h0 ^ h1) * kPrime;
+  h = (h ^ h2) * kPrime;
+  h = (h ^ h3) * kPrime;
+  h ^= h >> 32;
+  return h;
 }
 
-void Store::ensure_packs_locked() {
-  if (packs_probed_) return;
-  packs_probed_ = true;
-  packs_ = PackSet::open(dir_);
+std::vector<std::uint8_t> encode_record(std::span<const std::uint8_t> entry,
+                                        std::int64_t written_at_s) {
+  ByteWriter out(kHeaderBytes + entry.size());
+  out.u32(static_cast<std::uint32_t>(entry.size()));
+  out.u64(0);  // checksum, filled in below
+  out.u64(static_cast<std::uint64_t>(written_at_s));
+  out.bytes(entry);
+  auto record = out.take();
+  const auto sum = pack_checksum(std::span(record).subspan(12));
+  for (int i = 0; i < 8; ++i)
+    record[4 + i] = static_cast<std::uint8_t>(sum >> (56 - 8 * i));
+  return record;
 }
 
-bool Store::reopen_packs_if_changed_locked() {
+Store::Store(std::string dir) : dir_(std::move(dir)) {
+  std::vector<std::string> paths;
   std::error_code ec;
-  const auto path = fs::path(dir_) / kPacksDirName / kManifestName;
-  const auto size = fs::file_size(path, ec);
-  if (ec) {
-    // No manifest on disk: drop a pack set whose files were cleared away.
-    if (!packs_) return false;
-    packs_.reset();
-    return true;
+  for (fs::directory_iterator it(dir_, ec), end; !ec && it != end;
+       it.increment(ec))
+    if (it->path().extension() == kSegmentExtension)
+      paths.push_back(it->path().string());
+  std::sort(paths.begin(), paths.end());
+  for (auto& path : paths) {
+    Mapping m{std::move(path), {}};
+    const int fd = ::open(m.path.c_str(), O_RDONLY | O_CLOEXEC);
+    struct stat st{};
+    if (fd >= 0 && ::fstat(fd, &st) == 0 && st.st_size > 0) {
+      const auto size = static_cast<std::size_t>(st.st_size);
+      void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+      if (addr != MAP_FAILED)
+        m.bytes = {static_cast<const std::uint8_t*>(addr), size};
+    }
+    if (fd >= 0) ::close(fd);
+    // Scan the record headers; stop at the first record that cannot be
+    // whole (a torn tail, or a length field no longer telling the truth).
+    const auto segment = static_cast<std::uint32_t>(segments_.size());
+    for (std::size_t at = 0; at < m.bytes.size();) {
+      ByteReader in(m.bytes.subspan(at));
+      const std::uint32_t length = in.u32();
+      in.skip(16);  // checksum, written_at_s
+      if (!in.ok() || length < kMinEntryBytes || length > in.remaining()) {
+        ++counters_.bad_entries;
+        break;
+      }
+      Record rec{{}, segment, length, at};
+      const auto echo = m.bytes.subspan(at + kHeaderBytes + 8, 16);
+      std::copy(echo.begin(), echo.end(), rec.key.digest.bytes.begin());
+      index_.push_back(rec);
+      at += kHeaderBytes + length;
+    }
+    segments_.push_back(std::move(m));
   }
-  const auto mtime = fs::last_write_time(path, ec);
-  const auto mtime_ns =
-      ec ? 0 : static_cast<std::int64_t>(mtime.time_since_epoch().count());
-  if (packs_ && packs_->manifest_size() == size &&
-      packs_->manifest_mtime_ns() == mtime_ns)
-    return false;
-  packs_ = PackSet::open(dir_);
-  return packs_.has_value();
+  std::sort(index_.begin(), index_.end(), [](const Record& a, const Record& b) {
+    if (a.key != b.key) return a.key < b.key;
+    return a.segment != b.segment ? a.segment < b.segment : a.offset < b.offset;
+  });
 }
 
-std::optional<Entry> Store::try_pack_locked(const PackedRecord& rec,
-                                            const ScenarioKey& key) {
-  const auto bytes = packs_->bytes_of(rec);
-  if (bytes.empty()) {
-    ++counters_.bad_entries;  // truncated/missing segment
-    return std::nullopt;
-  }
-  if (pack_checksum(bytes) != rec.checksum) {
-    ++counters_.bad_entries;  // payload bit flip the framing can't see
-    return std::nullopt;
-  }
-  auto entry = decode_entry(key, bytes);
-  if (!entry) {
-    ++counters_.bad_entries;  // bit flip, bad echo, foreign bytes
-    return std::nullopt;
-  }
-  packs_->note_hit(key);
+Store::~Store() {
+  for (const auto& m : segments_)
+    if (!m.bytes.empty())
+      ::munmap(const_cast<std::uint8_t*>(m.bytes.data()), m.bytes.size());
+  if (fd_ >= 0) ::close(fd_);
+}
+
+std::span<const std::uint8_t> Store::record_bytes(const Record& rec) const {
+  return segments_[rec.segment].bytes.subspan(rec.offset,
+                                              kHeaderBytes + rec.length);
+}
+
+double Store::age_seconds(const Record& rec, std::int64_t now_s) const {
+  ByteReader in(record_bytes(rec).subspan(12, 8));
+  const auto written_at = static_cast<std::int64_t>(in.u64());
+  // In doubles: a written_at_s far from now must not overflow.
+  return std::max(0.0, static_cast<double>(now_s) -
+                           static_cast<double>(written_at));
+}
+
+std::optional<Entry> Store::decode(const Record& rec) {
+  const auto record = record_bytes(rec);
+  ByteReader in(record.subspan(4, 8));
+  auto entry = pack_checksum(record.subspan(12)) == in.u64()
+                   ? decode_entry(rec.key, record.subspan(kHeaderBytes))
+                   : std::nullopt;
+  if (!entry) ++counters_.bad_entries;
   return entry;
 }
 
-std::optional<Entry> Store::try_loose_locked(const ScenarioKey& key) {
-  const auto bytes = read_file(entry_path(key));
-  if (!bytes) return std::nullopt;
-  auto entry = decode_entry(key, *bytes);
-  if (!entry) {
-    ++counters_.bad_entries;
-    return std::nullopt;
-  }
-  record_hit_on_disk(entry_path(key));
-  memory_.emplace(key, *entry);
+std::optional<Entry> Store::lookup_locked(const ScenarioKey& key,
+                                          IndexIt& lo) {
+  lo = std::lower_bound(
+      lo, index_.cend(), key,
+      [](const Record& rec, const ScenarioKey& k) { return rec.key < k; });
+  std::optional<Entry> entry;
+  // A key stored twice is served from its first intact copy.
+  for (auto it = lo; !entry && it != index_.cend() && it->key == key; ++it)
+    entry = decode(*it);
+  if (entry)
+    ++counters_.pack_hits;
+  else if (const auto own = own_.find(key); own != own_.end())
+    entry = decode_entry(key, own->second);
+  ++(entry ? counters_.hits : counters_.misses);
   return entry;
 }
 
 std::optional<Entry> Store::get(const ScenarioKey& key) {
   std::lock_guard lock(mutex_);
-  if (auto it = memory_.find(key); it != memory_.end()) {
-    ++counters_.memory_hits;
-    record_hit_on_disk(entry_path(key));
-    return it->second;
-  }
-  ensure_packs_locked();
-  // Two attempts: the second runs only when a full miss coincides with a
-  // manifest that changed on disk (a concurrent compact moved entries out
-  // of the loose tree between our open and this lookup).
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (packs_) {
-      if (const auto* rec = packs_->find(key)) {
-        if (auto entry = try_pack_locked(*rec, key)) {
-          ++counters_.pack_hits;
-          return entry;
-        }
-      }
-    }
-    if (auto entry = try_loose_locked(key)) {
-      ++counters_.disk_hits;
-      return entry;
-    }
-    if (attempt == 0 && !reopen_packs_if_changed_locked()) break;
-  }
-  ++counters_.misses;
-  return std::nullopt;
+  auto lo = index_.cbegin();
+  return lookup_locked(key, lo);
 }
 
 Store::BatchResult Store::get_batch(std::span<const ScenarioKey> keys) {
   BatchResult out;
   out.entries.resize(keys.size());
-  std::lock_guard lock(mutex_);
-  ensure_packs_locked();
-
-  // Key-sorted visit order: the manifest (also key-sorted) is then walked
-  // monotonically — one forward pass, each binary search bounded below by
-  // the previous hit.
+  // Key-sorted visit order walks the key-sorted index monotonically: one
+  // forward pass, each binary search bounded below by the previous one.
   std::vector<std::uint32_t> order(keys.size());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(),
             [&](std::uint32_t a, std::uint32_t b) { return keys[a] < keys[b]; });
 
-  const PackedRecord* lo = packs_ ? packs_->records().data() : nullptr;
-  const PackedRecord* hi =
-      packs_ ? lo + packs_->records().size() : nullptr;
-  for (const auto i : order) {
-    const ScenarioKey& key = keys[i];
-    if (auto it = memory_.find(key); it != memory_.end()) {
-      ++counters_.memory_hits;
-      record_hit_on_disk(entry_path(key));
-      ++out.loose_hits;
-      out.entries[i] = it->second;
-      continue;
-    }
-    if (lo != hi) {
-      lo = std::lower_bound(lo, hi, key,
-                            [](const PackedRecord& rec, const ScenarioKey& k) {
-                              return rec.key < k;
-                            });
-      if (lo != hi && lo->key == key) {
-        if (auto entry = try_pack_locked(*lo, key)) {
-          ++counters_.pack_hits;
-          ++out.pack_hits;
-          out.entries[i] = std::move(*entry);
-          continue;
-        }
-      }
-    }
-    if (auto entry = try_loose_locked(key)) {
-      ++counters_.disk_hits;
-      ++out.loose_hits;
-      out.entries[i] = std::move(*entry);
-      continue;
-    }
-    ++counters_.misses;
-    ++out.misses;
-  }
+  std::lock_guard lock(mutex_);
+  const StoreCounters before = counters_;
+  auto lo = index_.cbegin();
+  for (const auto i : order) out.entries[i] = lookup_locked(keys[i], lo);
+  out.pack_hits = counters_.pack_hits - before.pack_hits;
+  out.misses = counters_.misses - before.misses;
   return out;
 }
 
 void Store::put(const ScenarioKey& key, const Entry& entry) {
+  auto bytes = encode_entry(key, entry);
+  const auto record = encode_record(bytes, now_epoch_seconds());
   std::lock_guard lock(mutex_);
-  memory_.insert_or_assign(key, entry);
   ++counters_.stores;
-
-  const auto encoded = encode_entry(key, entry);
-  const fs::path target(entry_path(key));
-  std::error_code ec;
-  fs::create_directories(target.parent_path(), ec);
-  if (ec) return;
-
-  // Unique-per-writer temp name in the target directory, so the final
-  // rename never crosses a filesystem boundary and is atomic.
-  static std::atomic<std::uint64_t> temp_serial{0};
-  std::uint64_t writer_id = temp_serial.fetch_add(1);
-#if defined(__unix__) || defined(__APPLE__)
-  writer_id |= static_cast<std::uint64_t>(::getpid()) << 32;
-#endif
-  const fs::path temp =
-      target.parent_path() /
-      (key.hex() + "." + std::to_string(writer_id) + ".tmp");
-  {
-    std::ofstream file(temp, std::ios::binary | std::ios::trunc);
-    if (!file) return;
-    file.write(reinterpret_cast<const char*>(encoded.data()),
-               static_cast<std::streamsize>(encoded.size()));
-    if (!file) {
-      file.close();
-      fs::remove(temp, ec);
-      return;
-    }
+  own_.insert_or_assign(key, std::move(bytes));
+  if (fd_ == -1) {
+    std::error_code ec;
+    fs::create_directories(dir_, ec);
+    const auto path = fs::path(dir_) / (unique_stem() + kSegmentExtension);
+    fd_ = ::open(path.c_str(),
+                 O_WRONLY | O_CREAT | O_EXCL | O_APPEND | O_CLOEXEC, 0644);
+    if (fd_ < 0) fd_ = -2;
   }
-  fs::rename(temp, target, ec);
-  if (ec) fs::remove(temp, ec);
+  if (fd_ < 0) return;
+  // One write() per record: appends never interleave. A short write leaves
+  // a torn tail, so this segment takes no further records.
+  const auto n = ::write(fd_, record.data(), record.size());
+  if (n != static_cast<ssize_t>(record.size())) {
+    ::close(fd_);
+    fd_ = -2;
+  }
 }
 
 StoreCounters Store::counters() const {
@@ -469,142 +407,103 @@ StoreCounters Store::counters() const {
   return counters_;
 }
 
-std::vector<Store::FileInfo> Store::ls(const std::string& dir) {
-  std::map<ScenarioKey, FileInfo> by_key;
-  std::vector<FileInfo> unkeyed;  // stems that do not parse as keys
-
-  if (const auto packs = PackSet::open(dir)) {
-    const auto hit_log = read_hit_log(dir);
-    const auto now_s = now_epoch_seconds();
-    for (const auto& rec : packs->records()) {
-      FileInfo info;
-      info.key = rec.key;
-      info.kind = rec.kind;
-      info.packed = true;
-      info.bytes = rec.length;
-      info.age_seconds =
-          static_cast<double>(std::max<std::int64_t>(0, now_s - rec.mtime_s));
-      info.hits = rec.hits;
-      if (const auto it = hit_log.find(rec.key); it != hit_log.end())
-        info.hits += it->second;
-      const auto bytes = packs->bytes_of(rec);
-      ByteReader in(bytes);
-      info.format = peek_entry_format(bytes);
-      info.valid = !bytes.empty() && pack_checksum(bytes) == rec.checksum &&
-                   decode_header(in, rec.key).has_value();
-      by_key.insert_or_assign(rec.key, info);
-    }
+std::vector<Store::Copies> Store::by_key() {
+  std::vector<Copies> out;
+  for (auto it = index_.begin(); it != index_.end();) {
+    Copies copies{&*it, nullptr};
+    for (; it != index_.end() && it->key == copies.first->key; ++it)
+      if (copies.intact == nullptr && decode(*it)) copies.intact = &*it;
+    out.push_back(copies);
   }
-
-  for (const auto& path : entry_files(dir)) {
-    FileInfo info;
-    std::error_code ec;
-    info.bytes = fs::file_size(path, ec);
-    info.age_seconds = age_seconds_of(path);
-    info.hits = hits_of(path);
-    const auto key = key_from_stem(path.stem().string());
-    if (!key) {
-      unkeyed.push_back(info);
-      continue;
-    }
-    info.key = *key;
-    if (const auto bytes = read_file(path)) {
-      ByteReader in(*bytes);
-      info.format = peek_entry_format(*bytes);
-      if (const auto kind = decode_header(in, *key)) {
-        info.kind = *kind;
-        info.valid = true;
-      }
-    }
-    // A loose duplicate of a packed entry (compaction crash window) is
-    // one logical entry: the loose copy — the write path — wins the
-    // listing, with both copies' hit counts summed.
-    if (const auto it = by_key.find(*key); it != by_key.end())
-      info.hits += it->second.hits;
-    by_key.insert_or_assign(*key, info);
-  }
-
-  std::vector<FileInfo> out = std::move(unkeyed);
-  out.reserve(out.size() + by_key.size());
-  for (auto& [key, info] : by_key) out.push_back(std::move(info));
-  std::sort(out.begin(), out.end(), [](const FileInfo& a, const FileInfo& b) {
-    return a.key < b.key;
-  });
   return out;
 }
 
-std::size_t Store::prune(const std::string& dir, double max_age_days) {
-  const double max_age_seconds = max_age_days * 24.0 * 3600.0;
-  std::size_t removed = 0;
-  for (const auto& path : entry_files(dir)) {
-    bool drop = age_seconds_of(path) > max_age_seconds;
-    if (!drop) {
-      const auto key = key_from_stem(path.stem().string());
-      const auto bytes = key ? read_file(path) : std::nullopt;
-      bool valid = false;
-      if (bytes) {
-        ByteReader in(*bytes);
-        valid = decode_header(in, *key).has_value();
-      }
-      drop = !valid;
-    }
-    if (drop) {
-      std::error_code ec;
-      if (fs::remove(path, ec) && !ec) ++removed;
-      fs::remove(hits_path(path), ec);
-    }
+std::vector<Store::FileInfo> Store::ls(const std::string& dir) {
+  Store store(dir);
+  const auto now_s = now_epoch_seconds();
+  std::vector<FileInfo> out;
+  for (const auto& [first, intact] : store.by_key()) {
+    const Record& rec = intact ? *intact : *first;
+    const auto entry = store.record_bytes(rec).subspan(kHeaderBytes);
+    FileInfo info{rec.key};
+    info.valid = intact != nullptr;
+    // An intact entry's kind byte follows its key echo.
+    if (info.valid) info.kind = static_cast<PayloadKind>(entry[kMinEntryBytes]);
+    info.format = peek_entry_format(entry);
+    info.bytes = rec.length;
+    info.age_seconds = store.age_seconds(rec, now_s);
+    out.push_back(info);
   }
+  return out;
+}
 
-  if (const auto packs = PackSet::open(dir)) {
-    // Age and validity over the manifest records; dropping any rewrites
-    // the survivors into a fresh segment so the manifest never points at
-    // pruned bytes (and stale segments are reclaimed).
-    const auto hit_log = read_hit_log(dir);
-    const auto now_s = now_epoch_seconds();
-    std::vector<PackedRecord> keep;
-    bool dropped = false;
-    for (const auto& rec : packs->records()) {
-      // Manifest mtimes carry second resolution, so this age floors the
-      // true age (a loose file's fractional age always exceeds it). >=
-      // compensates: a record at exactly the cutoff — in particular any
-      // record under `prune 0` — drops, matching the loose path.
-      const auto age =
-          static_cast<double>(std::max<std::int64_t>(0, now_s - rec.mtime_s));
-      const auto bytes = packs->bytes_of(rec);
-      ByteReader in(bytes);
-      const bool valid = !bytes.empty() &&
-                         pack_checksum(bytes) == rec.checksum &&
-                         decode_header(in, rec.key).has_value();
-      if (!valid || age >= max_age_seconds) {
-        ++removed;
-        dropped = true;
-        continue;
-      }
-      auto survivor = rec;
-      if (const auto it = hit_log.find(rec.key); it != hit_log.end())
-        survivor.hits += it->second;
-      keep.push_back(survivor);
+std::optional<CompactResult> compact(const std::string& dir, double max_age_s) {
+  CompactResult result;
+  Store source(dir);
+  result.segments = source.segments_.size();
+  result.skipped = source.counters_.bad_entries;  // torn tails
+  const auto now_s = now_epoch_seconds();
+
+  // One intact copy per key, in key order, so a warm batch walks the
+  // fresh segment front to back.
+  std::vector<std::span<const std::uint8_t>> keep;
+  for (const auto& [first, intact] : source.by_key()) {
+    if (intact == nullptr) {
+      const auto format = peek_entry_format(
+          source.record_bytes(*first).subspan(kHeaderBytes));
+      ++(format != 0 && format != kCacheFormatVersion ? result.skipped_version
+                                                      : result.skipped);
+    } else if (source.age_seconds(*intact, now_s) >= max_age_s) {
+      // Seconds floor the true age, so >= drops everything under a 0 cutoff.
+      ++result.expired;
+    } else {
+      keep.push_back(source.record_bytes(*intact));
+      result.bytes += keep.back().size();
     }
-    if (dropped) repack(dir, keep, *packs);
   }
-  return removed;
+  result.kept = keep.size();
+
+  if (!keep.empty()) {
+    const auto stem = (fs::path(dir) / unique_stem()).string();
+    const auto temp = stem + ".tmp";
+    const int fd = ::open(temp.c_str(),
+                          O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+    if (fd < 0) return std::nullopt;
+    // A short write fails the pass; the segments it read stay in place.
+    bool ok = true;
+    for (const auto bytes : keep)
+      ok = ok && ::write(fd, bytes.data(), bytes.size()) ==
+                     static_cast<ssize_t>(bytes.size());
+    ok = ok && ::fsync(fd) == 0;
+    ::close(fd);
+    const auto target = stem + kSegmentExtension;
+    if (!ok || ::rename(temp.c_str(), target.c_str()) != 0) {
+      ::unlink(temp.c_str());
+      return std::nullopt;
+    }
+  }
+  // The survivors are durably in place: retire what they were copied from.
+  for (const auto& m : source.segments_) ::unlink(m.path.c_str());
+  return result;
+}
+
+std::size_t Store::prune(const std::string& dir, double max_age_days) {
+  const auto result = compact(dir, max_age_days * 24.0 * 3600.0);
+  if (!result) return 0;
+  return result->expired + result->skipped + result->skipped_version;
 }
 
 std::size_t Store::clear(const std::string& dir) {
-  std::size_t removed = 0;
-  for (const auto& path : entry_files(dir)) {
-    std::error_code ec;
-    if (fs::remove(path, ec) && !ec) ++removed;
-    fs::remove(hits_path(path), ec);
-  }
-  removed += remove_packs(dir);
-  // Sweep now-empty shard directories so clear leaves a pristine tree.
+  const std::size_t removed = Store(dir).by_key().size();
+  // Segments and any temp file a crashed compact left behind.
+  std::vector<fs::path> doomed;
   std::error_code ec;
-  for (fs::directory_iterator it(dir, ec), end; !ec && it != end; ++it) {
-    std::error_code sub;
-    if (it->is_directory(sub) && fs::is_empty(it->path(), sub) && !sub)
-      fs::remove(it->path(), sub);
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const auto ext = it->path().extension();
+    if (ext == kSegmentExtension || ext == ".tmp") doomed.push_back(it->path());
   }
+  for (const auto& path : doomed) fs::remove(path, ec);
   return removed;
 }
 

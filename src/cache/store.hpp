@@ -1,28 +1,27 @@
 // Persistent, content-addressed scenario result store.
 //
-// Layout: <dir>/<first-two-hex>/<key>.nidc, one entry per file. Each file
-// carries a magic + format version + the full key it claims to hold, so a
-// renamed or corrupted file can never satisfy the wrong lookup — it simply
-// decodes as a miss (counted in counters().bad_entries). Writes go to a
-// temp file in the same shard directory and are renamed into place, which
-// is atomic on POSIX: concurrent --jobs workers, concurrent nidt
-// processes, or a reader racing a writer see either the old complete
-// entry, the new complete entry, or a miss — never a torn file.
+// A cache directory holds append-only segments (`*.nids`), each a run of
+// big-endian records [u32 length][u64 checksum][i64 written_at_s][entry],
+// where the entry is encode_entry's output (magic, format version, key
+// echo, kind, payload) and the checksum is pack_checksum over written_at_s
+// and the entry. No file name carries a key.
 //
-// Warm path: `nidt cache compact` consolidates loose entries into
-// memory-mapped pack segments indexed by a sorted manifest (see
-// cache/pack.hpp). Lookups consult the manifest first and decode straight
-// out of the mapping — no file open, no read, no byte copy — and fall
-// back to the loose file on any mismatch, so a stale or corrupt manifest
-// can only cost speed, never correctness. Loose files remain the write
-// path; the next compact folds them in.
+// Each Store appends to a segment of its own, created on its first put()
+// with O_CREAT|O_EXCL|O_APPEND, one write() per record, so a torn record
+// can only be the tail of its writer's segment. The constructor maps every
+// segment and scans the headers into one key-sorted index, stopping a
+// segment's scan at the first record that cannot be whole; a lookup checks
+// the checksum, then decodes from the mapping. Records appended after the
+// store was built are not seen (a miss and a recompute, never a wrong
+// answer), but a store serves the entries it put itself.
 //
-// An in-process map fronts the disk: within one run, a key is decoded (or
-// computed) at most once, and repeated lookups — including in-flight
-// duplicates the experiment layer fans in — are memory hits.
+// No segment is truncated or rewritten in place, so a reader's mapping
+// stays valid: compact() and prune copy survivors into a fresh segment
+// (temp file, fsync, rename), then unlink the segments they read.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -31,13 +30,13 @@
 #include <vector>
 
 #include "cache/key.hpp"
-#include "cache/pack.hpp"
 #include "cov/cov.hpp"
 #include "mining/relation.hpp"
 #include "obs/obs.hpp"
-#include "util/bytes.hpp"
 
 namespace nidkit::cache {
+
+inline constexpr const char* kSegmentExtension = ".nids";
 
 /// The simulation-health summary of the run that produced an entry —
 /// ScenarioResult's scalar statistics, preserved so a replayed scenario
@@ -85,7 +84,7 @@ struct Entry {
   cov::CoverageVector coverage;
 };
 
-/// Serializes an entry with its file framing (magic, version, key echo).
+/// Serializes an entry with its framing (magic, version, key echo).
 std::vector<std::uint8_t> encode_entry(const ScenarioKey& key,
                                        const Entry& entry);
 
@@ -100,53 +99,60 @@ std::optional<Entry> decode_entry(const ScenarioKey& expected,
 /// from corruption without a full decode.
 std::uint32_t peek_entry_format(std::span<const std::uint8_t> bytes);
 
+/// Fast content checksum: 8-byte lanes folded with multiply-xor. Every
+/// step is bijective in its input word, so any single-bit flip changes
+/// the digest; this is a corruption detector, not a cryptographic hash.
+std::uint64_t pack_checksum(std::span<const std::uint8_t> bytes);
+
+/// Frames encoded entry bytes as one segment record.
+std::vector<std::uint8_t> encode_record(std::span<const std::uint8_t> entry,
+                                        std::int64_t written_at_s);
+
 struct StoreCounters {
-  std::uint64_t memory_hits = 0;
-  /// Served from a memory-mapped pack segment via the manifest.
+  std::uint64_t hits = 0;
+  /// The hits read from a segment (the rest are entries this store put).
   std::uint64_t pack_hits = 0;
-  /// Served from a loose <2hex>/<key>.nidc file (the pre-pack path).
-  std::uint64_t disk_hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
-  /// Files or packed spans that existed but failed to decode (corruption,
-  /// foreign format, version skew). Treated as misses; never fatal.
+  /// Records that failed their checksum or decode, or could not be whole.
   std::uint64_t bad_entries = 0;
+};
+
+/// What one compact (or prune) pass did.
+struct CompactResult {
+  std::size_t segments = 0;         ///< segments read, then unlinked
+  std::size_t kept = 0;             ///< entries copied to the fresh segment
+  std::uint64_t bytes = 0;          ///< record bytes written
+  std::size_t expired = 0;          ///< valid entries at or past the cutoff
+  std::size_t skipped = 0;          ///< corrupt or torn, no intact copy
+  std::size_t skipped_version = 0;  ///< intact framing, other version
 };
 
 class Store {
  public:
-  /// `dir` need not exist yet; it is created on the first put().
+  /// Maps and indexes every segment under `dir`; `dir` need not exist
+  /// yet (it is created on the first put()).
   explicit Store(std::string dir);
+  ~Store();
+  Store(const Store&) = delete;
+  Store& operator=(const Store&) = delete;
 
-  const std::string& dir() const { return dir_; }
-
-  /// Memory first, then the pack manifest (mmap decode), then the loose
-  /// file. Loose hits are promoted into memory; pack hits are not —
-  /// re-decoding straight from the mapping is about as fast as a memory
-  /// copy would be, and skipping the promotion copy keeps the warm
-  /// lookup allocation-light.
+  /// One-key get_batch.
   std::optional<Entry> get(const ScenarioKey& key);
 
-  /// Batched lookup: resolves every key against the manifest in one
-  /// sorted pass under a single lock, then falls back to loose files for
-  /// the rest. Entries come back in input order (nullopt = miss). This is
-  /// the experiment warm path — workers never touch the filesystem for a
-  /// key resolved here.
+  /// Resolves every key in one key-sorted pass over the index, then
+  /// against the entries this store put. Entries come back in input order
+  /// (nullopt = miss).
   struct BatchResult {
     std::vector<std::optional<Entry>> entries;  ///< input order
-    /// Hit split for telemetry, so warm-path regressions (pack lookups
-    /// silently degrading to loose reads) show up in --stats. Memory
-    /// hits count as loose_hits: memory entries only ever originate from
-    /// put() or a loose-file promotion.
-    std::uint64_t pack_hits = 0;
-    std::uint64_t loose_hits = 0;
+    std::uint64_t pack_hits = 0;  ///< the hits read from a segment
     std::uint64_t misses = 0;
   };
   BatchResult get_batch(std::span<const ScenarioKey> keys);
 
-  /// Inserts into memory and persists to disk (atomic temp+rename). Disk
-  /// I/O failures are swallowed: the cache degrades to memory-only rather
-  /// than failing the experiment.
+  /// Keeps the encoded entry for later lookups and appends it to this
+  /// store's segment. Disk I/O failures are swallowed: the cache degrades
+  /// to memory-only rather than failing the experiment.
   void put(const ScenarioKey& key, const Entry& entry);
 
   StoreCounters counters() const;
@@ -156,59 +162,74 @@ class Store {
   struct FileInfo {
     ScenarioKey key;
     PayloadKind kind = PayloadKind::kMinedRelations;
-    bool valid = false;          ///< framing decoded and key matches
-    bool packed = false;         ///< lives in a pack segment, not a file
-    /// On-disk entry format version (0 when the magic is unreadable).
+    bool valid = false;  ///< checksum holds and the entry decodes
+    /// Entry format version (0 when the magic is unreadable).
     std::uint32_t format = 0;
     std::uint64_t bytes = 0;
-    double age_seconds = 0;      ///< since last modification
-    /// Lifetime hit count (memory + disk) across every process that used
-    /// this entry — e.g. triage probes replaying audit results. Loose
-    /// entries persist it as a 1-byte-per-hit sidecar (<entry>.hits);
-    /// packed entries carry the compact-time total in the manifest plus
-    /// live appends in the packs/hits.nidl log.
-    std::uint64_t hits = 0;
+    double age_seconds = 0;  ///< since the record was written
   };
 
-  /// Every entry under `dir`, sorted by key hex. Reads the manifest when
-  /// present (one file instead of a 256-shard scan) and folds in loose
-  /// entries written since the last compact; a key present both packed
-  /// and loose (compaction crash window) is listed once.
+  /// Every entry under `dir`, sorted by key; a key stored more than once
+  /// is listed once (its first intact copy, if any).
   static std::vector<FileInfo> ls(const std::string& dir);
 
-  /// Deletes entries older than `max_age_days` (and any entry that fails
-  /// validation), loose and packed alike — dropping packed entries
-  /// rewrites the surviving records into a fresh pack + manifest, so the
-  /// manifest never points at pruned data. Returns entries removed.
+  /// compact() with a cutoff: drops entries older than `max_age_days` and
+  /// every invalid one. Returns entries removed.
   static std::size_t prune(const std::string& dir, double max_age_days);
 
-  /// Deletes every cache entry — loose files, pack segments, manifest,
-  /// hit log and empty shard directories. Returns entries removed.
+  /// Unlinks every segment. Returns entries removed.
   static std::size_t clear(const std::string& dir);
 
  private:
-  std::string entry_path(const ScenarioKey& key) const;
+  /// One indexed record: where its header starts in which segment.
+  struct Record {
+    ScenarioKey key;
+    std::uint32_t segment = 0;
+    std::uint32_t length = 0;  ///< entry bytes
+    std::uint64_t offset = 0;
+  };
+  struct Mapping {
+    std::string path;
+    std::span<const std::uint8_t> bytes;
+  };
 
-  /// Opens the pack set on first use (one manifest read + mmap per
-  /// process). Caller holds mutex_.
-  void ensure_packs_locked();
-  /// Re-opens the pack set iff the manifest changed on disk (a concurrent
-  /// `cache compact`). Called only after a full miss, so the stat cost
-  /// never touches the warm path. Returns true when a new set was loaded.
-  bool reopen_packs_if_changed_locked();
-  /// Decodes `rec` out of the mapping and logs the hit (no promotion).
-  std::optional<Entry> try_pack_locked(const PackedRecord& rec,
-                                       const ScenarioKey& key);
-  /// Reads + decodes the loose file, promotes and counts the hit.
-  std::optional<Entry> try_loose_locked(const ScenarioKey& key);
+  /// One key's copies: its first, and its first intact one (or null).
+  struct Copies {
+    const Record* first;
+    const Record* intact;
+  };
+
+  /// The whole record, header included.
+  std::span<const std::uint8_t> record_bytes(const Record& rec) const;
+  /// Every key of the index, in key order.
+  std::vector<Copies> by_key();
+  using IndexIt = std::vector<Record>::const_iterator;
+  /// Resolves `key` from `lo` on (advancing `lo`), then against own_.
+  std::optional<Entry> lookup_locked(const ScenarioKey& key, IndexIt& lo);
+  /// Checksum, then decode; a failure counts as a bad entry.
+  std::optional<Entry> decode(const Record& rec);
+  /// Seconds since the record was written, never negative.
+  double age_seconds(const Record& rec, std::int64_t now_s) const;
+
+  friend std::optional<CompactResult> compact(const std::string& dir,
+                                              double max_age_s);
 
   std::string dir_;
   mutable std::mutex mutex_;
-  /// put() inserts and loose hits promote; pack hits never land here.
-  std::map<ScenarioKey, Entry> memory_;
-  std::optional<PackSet> packs_;
-  bool packs_probed_ = false;
+  std::vector<Mapping> segments_;
+  std::vector<Record> index_;  ///< sorted by (key, segment, offset)
+  /// Encoded entries this store put, served after the index.
+  std::map<ScenarioKey, std::vector<std::uint8_t>> own_;
+  int fd_ = -1;  ///< this store's segment; -2 once creating it failed
   StoreCounters counters_;
 };
+
+/// Copies every valid record younger than `max_age_s` (one copy per key)
+/// into a fresh segment — temp file, fsync, rename — then unlinks the
+/// segments it read. Without a cutoff this is `nidt cache compact`.
+/// Returns nullopt only when the fresh segment cannot be written.
+std::optional<CompactResult> compact(
+    const std::string& dir,
+    double max_age_s = std::numeric_limits<double>::infinity());
 
 }  // namespace nidkit::cache

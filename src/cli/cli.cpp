@@ -1,9 +1,12 @@
 #include "cli/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "cache/store.hpp"
 #include "cov/cov.hpp"
@@ -53,7 +56,7 @@ std::optional<Args> parse_args(const std::vector<std::string>& tokens,
   std::size_t i = 0;
   if (i < tokens.size() && tokens[i].rfind("--", 0) != 0)
     args.command = tokens[i++];
-  // The cache command takes an action word: `nidt cache ls|prune|clear`.
+  // The cache command takes an action word: `nidt cache ls|compact|...`.
   if (args.command == "cache" && i < tokens.size() &&
       tokens[i].rfind("--", 0) != 0)
     args.subcommand = tokens[i++];
@@ -121,9 +124,9 @@ int usage(std::ostream& out) {
          "             report the accumulated feature map, per-class\n"
          "             saturation and the features-seen curve\n"
          "  cache      ls|prune|clear|compact  --cache-dir DIR\n"
-         "             [--max-age-days 30] [--json] : compact consolidates\n"
-         "             loose entries into mmap'd pack files + manifest for\n"
-         "             fast warm lookups; loose writes stay the write path\n"
+         "             [--max-age-days 30] [--json] : compact copies every\n"
+         "             valid entry into one fresh segment; prune is compact\n"
+         "             that also drops entries older than --max-age-days\n"
          "  help\n"
          "\n"
          "  --jobs N parallelizes scenario execution over N workers\n"
@@ -145,7 +148,9 @@ int usage(std::ostream& out) {
          "  the run's phase spans — open it in ui.perfetto.dev.\n"
          "  --coverage-out FILE (audit/sweep/triage/stability) writes a\n"
          "  behavioral-coverage snapshot; its \"cov\" section is one line\n"
-         "  and deterministic, like the metrics \"sim\" section.\n";
+         "  and deterministic, like the metrics \"sim\" section.\n"
+         "  A flag the command does not read, or an integer outside its\n"
+         "  range, is a usage error (exit 2).\n";
   return 0;
 }
 
@@ -207,10 +212,14 @@ std::optional<topo::Spec> topo_by_name(const std::string& name,
 /// off (the default).
 std::string resolve_cache_dir(const Args& args) {
   if (args.has("no-cache")) return "";
-  if (args.has("cache-dir")) return args.get("cache-dir", "");
-  if (const char* env = std::getenv("NIDKIT_CACHE_DIR")) return env;
-  return "";
+  const char* env = std::getenv("NIDKIT_CACHE_DIR");
+  return args.get("cache-dir", env ? env : "");
 }
+
+/// Upper bounds of the time flags. Every accepted value converts to
+/// microseconds without overflow, and a run at the bound still finishes.
+constexpr long long kMaxTdelayMs = 60'000;
+constexpr long long kMaxDurationS = 3'600;
 
 std::optional<harness::ExperimentConfig> config_from(const Args& args,
                                                      std::ostream& err) {
@@ -240,8 +249,9 @@ std::optional<harness::ExperimentConfig> config_from(const Args& args,
     if (churn != "none") {
       for (const auto& s : split_list(churn)) {
         const auto secs = parse_whole<long long>(s);
-        if (!secs) {
-          err << "--churn-s needs seconds (comma-separated) or none\n";
+        if (!secs || *secs < 0 || *secs > kMaxDurationS) {
+          err << "--churn-s needs seconds from 0 to " << kMaxDurationS
+              << " (comma-separated) or none, got '" << s << "'\n";
           return std::nullopt;
         }
         config.churn_times.push_back(std::chrono::seconds(*secs));
@@ -543,6 +553,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   config.link_jitter = 400ms;
   if (const auto jobs = args.get_int("jobs"))
     config.jobs = static_cast<std::size_t>(*jobs);
+  config.keep_bytes = args.has("keep-bytes");
   config.cache_dir = resolve_cache_dir(args);
   const long long max_ms = args.get_int("max-ms").value_or(1500);
   const long long step_ms = std::max<long long>(
@@ -759,30 +770,26 @@ int cmd_cache(const Args& args, std::ostream& out, std::ostream& err) {
       args.subcommand.empty() ? "ls" : args.subcommand;
   if (action == "ls") {
     const auto entries = cache::Store::ls(dir);
+    auto kind = [](const cache::Store::FileInfo& e) {
+      return e.kind == cache::PayloadKind::kSweepStats ? "sweep" : "mined";
+    };
     if (args.has("json")) {
       out << "[";
       for (std::size_t i = 0; i < entries.size(); ++i) {
         const auto& e = entries[i];
         if (i) out << ",";
-        out << "{\"key\":\"" << e.key.hex() << "\",\"kind\":\""
-            << (e.kind == cache::PayloadKind::kSweepStats ? "sweep"
-                                                          : "mined")
-            << "\",\"format\":" << e.format
-            << ",\"bytes\":" << e.bytes << ",\"age_s\":" << e.age_seconds
-            << ",\"hits\":" << e.hits
-            << ",\"src\":\"" << (e.packed ? "pack" : "loose")
-            << "\",\"valid\":" << (e.valid ? "true" : "false") << "}";
+        out << "{\"key\":\"" << e.key.hex() << "\",\"kind\":\"" << kind(e)
+            << "\",\"format\":" << e.format << ",\"bytes\":" << e.bytes
+            << ",\"age_s\":" << e.age_seconds
+            << ",\"valid\":" << (e.valid ? "true" : "false") << "}";
       }
       out << "]\n";
       return 0;
     }
-    out << "key kind bytes age_s hits src valid\n";
+    out << "key kind bytes age_s valid\n";
     for (const auto& e : entries) {
-      out << e.key.hex() << ' '
-          << (e.kind == cache::PayloadKind::kSweepStats ? "sweep" : "mined")
-          << ' ' << e.bytes << ' ' << e.age_seconds << ' ' << e.hits << ' '
-          << (e.packed ? "pack" : "loose") << ' '
-          << (e.valid ? "yes" : "NO") << '\n';
+      out << e.key.hex() << ' ' << kind(e) << ' ' << e.bytes << ' '
+          << e.age_seconds << ' ' << (e.valid ? "yes" : "NO") << '\n';
     }
     out << entries.size() << " entries\n";
     return 0;
@@ -802,19 +809,16 @@ int cmd_cache(const Args& args, std::ostream& out, std::ostream& err) {
   if (action == "compact") {
     const auto result = cache::compact(dir);
     if (!result) {
-      err << "compact failed: cannot write " << dir << "/"
-          << cache::kPacksDirName << "\n";
+      err << "compact failed: cannot write a segment in " << dir << "\n";
       return 2;
     }
-    out << "packed " << result->packed << " loose entries, carried "
-        << result->carried << " packed entries";
+    out << "packed " << result->kept << " entries (" << result->bytes
+        << " bytes) from " << result->segments << " segments";
     if (result->skipped) out << ", skipped " << result->skipped << " invalid";
     if (result->skipped_version)
       out << ", skipped " << result->skipped_version
           << " for format-version skew";
-    out << "\n"
-        << result->entries << " entries in " << result->segments
-        << " segments (" << result->bytes << " bytes)\n";
+    out << "\n";
     return 0;
   }
   err << "unknown cache action: " << action
@@ -822,24 +826,86 @@ int cmd_cache(const Args& args, std::ostream& out, std::ostream& err) {
   return 2;
 }
 
-/// Integer flags and the least value each takes. run_cli rejects a present
-/// flag whose value is not a whole integer at or above its bound before
-/// any command runs, so inside a command get_int's nullopt means "absent".
-constexpr struct {
-  const char* name;
-  long long min;
-} kIntFlags[] = {{"tdelay-ms", 0},    {"duration-s", 0}, {"jobs", 0},
-                 {"seed", 0},         {"max-ms", 0},     {"step-ms", 0},
-                 {"max-age-days", 0}, {"max-probes", 1}, {"max-incidents", 0}};
+/// Command bits for the flag table.
+enum : unsigned {
+  kAudit = 1u << 0,
+  kTrace = 1u << 1,
+  kMine = 1u << 2,
+  kSweep = 1u << 3,
+  kInject = 1u << 4,
+  kTriage = 1u << 5,
+  kStability = 1u << 6,
+  kCoverage = 1u << 7,
+  kCache = 1u << 8,
+};
+/// The commands config_from configures.
+constexpr unsigned kExperiment = kAudit | kCoverage | kTriage | kStability;
+/// The commands that write telemetry (with_obs and write_stats_file).
+constexpr unsigned kTelemetry = kExperiment | kSweep;
 
-bool int_flags_valid(const Args& args, std::ostream& err) {
-  for (const auto& flag : kIntFlags) {
-    if (!args.has(flag.name)) continue;
-    const auto value = args.get_int(flag.name);
-    if (!value || *value < flag.min) {
-      err << "--" << flag.name << " needs a "
-          << (flag.min > 0 ? "positive" : "non-negative") << " integer, got '"
-          << args.get(flag.name, "") << "'\n";
+/// Every flag, the commands that read it and, for an integer flag, the
+/// range it takes (max 0: not an integer). run_cli rejects an unknown
+/// flag, a flag its command does not read and an integer out of range
+/// before any command runs, so inside a command get_int's nullopt means
+/// "absent".
+constexpr struct {
+  std::string_view name;
+  unsigned commands;
+  long long min = 0;
+  long long max = 0;
+} kFlags[] = {
+    {"protocol", kAudit | kCoverage},
+    {"impls", kAudit | kCoverage | kTriage},
+    {"impl", kTrace | kSweep | kStability},
+    {"scheme", kAudit | kCoverage | kMine | kTriage | kStability},
+    {"format", kAudit | kCoverage | kTriage},
+    {"topos", kExperiment},
+    {"seeds", kExperiment},
+    {"churn-s", kExperiment},
+    {"tdelay-ms", kExperiment | kTrace | kMine, 0, kMaxTdelayMs},
+    {"duration-s", kExperiment | kTrace, 0, kMaxDurationS},
+    {"jobs", kTelemetry, 0, 256},
+    {"keep-bytes", kTelemetry},
+    {"cache-dir", kTelemetry | kCache},
+    {"no-cache", kTelemetry | kCache},
+    {"stats", kTelemetry},
+    {"stats-out", kTelemetry},
+    {"metrics-out", kTelemetry},
+    {"trace-out", kTelemetry},
+    {"coverage-out", kTelemetry},
+    {"topo", kTrace},
+    {"seed", kTrace, 0, std::numeric_limits<long long>::max()},
+    {"out", kTrace},
+    {"pcap", kTrace},
+    {"in", kMine},
+    {"max-ms", kSweep, 0, kMaxTdelayMs},
+    {"step-ms", kSweep, 0, kMaxTdelayMs},
+    {"target", kInject},
+    {"stimulus", kInject},
+    {"max-probes", kTriage, 1, 1'000'000},
+    {"max-incidents", kTriage, 0, 1'000'000},
+    {"report-out", kTriage},
+    {"json", kCache},
+    {"max-age-days", kCache, 0, 36'500},
+};
+
+bool flags_valid(const Args& args, unsigned command, std::ostream& err) {
+  for (const auto& [name, value] : args.flags) {
+    const auto* flag =
+        std::find_if(std::begin(kFlags), std::end(kFlags),
+                     [&](const auto& f) { return f.name == name; });
+    if (flag == std::end(kFlags)) {
+      err << "unknown flag --" << name << " (try `nidt help`)\n";
+      return false;
+    }
+    if ((flag->commands & command) == 0) {
+      err << "--" << name << " does not apply to " << args.command << "\n";
+      return false;
+    }
+    const auto v = args.get_int(name);
+    if (flag->max > 0 && (!v || *v < flag->min || *v > flag->max)) {
+      err << "--" << name << " needs an integer from " << flag->min
+          << " to " << flag->max << ", got '" << value << "'\n";
       return false;
     }
   }
@@ -861,28 +927,31 @@ int with_obs(const Args& args, std::ostream& err, Fn&& fn) {
 
 int run_cli(const std::vector<std::string>& tokens, std::ostream& out,
             std::ostream& err) {
+  static constexpr struct {
+    std::string_view name;
+    unsigned bit;
+    int (*run)(const Args&, std::ostream&, std::ostream&);
+  } kCommands[] = {
+      {"audit", kAudit, cmd_audit},         {"trace", kTrace, cmd_trace},
+      {"mine", kMine, cmd_mine},            {"sweep", kSweep, cmd_sweep},
+      {"inject", kInject, cmd_inject},      {"triage", kTriage, cmd_triage},
+      {"stability", kStability, cmd_stability},
+      {"coverage", kCoverage, cmd_coverage}, {"cache", kCache, cmd_cache},
+  };
   auto args = parse_args(tokens, err);
   if (!args) return 2;
   if (args->command.empty() || args->command == "help") return usage(out);
-  if (!int_flags_valid(*args, err)) return 2;
-  if (args->command == "audit")
-    return with_obs(*args, err, [&] { return cmd_audit(*args, out, err); });
-  if (args->command == "trace") return cmd_trace(*args, out, err);
-  if (args->command == "mine") return cmd_mine(*args, out, err);
-  if (args->command == "sweep")
-    return with_obs(*args, err, [&] { return cmd_sweep(*args, out, err); });
-  if (args->command == "inject") return cmd_inject(*args, out, err);
-  if (args->command == "triage")
-    return with_obs(*args, err, [&] { return cmd_triage(*args, out, err); });
-  if (args->command == "stability")
-    return with_obs(*args, err,
-                    [&] { return cmd_stability(*args, out, err); });
-  if (args->command == "coverage")
-    return with_obs(*args, err,
-                    [&] { return cmd_coverage(*args, out, err); });
-  if (args->command == "cache") return cmd_cache(*args, out, err);
-  err << "unknown command: " << args->command << " (try `nidt help`)\n";
-  return 2;
+  const auto* cmd =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&](const auto& c) { return c.name == args->command; });
+  if (cmd == std::end(kCommands)) {
+    err << "unknown command: " << args->command << " (try `nidt help`)\n";
+    return 2;
+  }
+  if (!flags_valid(*args, cmd->bit, err)) return 2;
+  if (cmd->bit & kTelemetry)
+    return with_obs(*args, err, [&] { return cmd->run(*args, out, err); });
+  return cmd->run(*args, out, err);
 }
 
 }  // namespace nidkit::cli

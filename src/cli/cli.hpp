@@ -9,7 +9,7 @@
 //   inject     craft-and-probe validation of a stimulus class
 //   triage     minimize each flag and confirm it by injection
 //   stability  per-cell seed-coverage report
-//   cache      maintain the scenario result cache (ls/prune/clear)
+//   cache      maintain the scenario result cache (ls/compact/prune/clear)
 //
 // The CLI is a thin layer: every subcommand parses flags into a struct and
 // calls the harness. run_cli is stream-parameterized so tests can drive it
@@ -28,7 +28,7 @@ namespace nidkit::cli {
 struct Args {
   std::string command;
   /// Second positional token — only the `cache` command takes one
-  /// (`nidt cache ls|prune|clear`); empty elsewhere.
+  /// (`nidt cache ls|compact|prune|clear`); empty elsewhere.
   std::string subcommand;
   std::map<std::string, std::string> flags;
 

@@ -95,9 +95,8 @@ std::vector<cache::Entry> run_cached(
   }
 
   // One batched lookup for the whole owner set: the store resolves every
-  // key against the pack manifest in a single sorted pass, then falls
-  // back to loose files — workers dispatched below never touch the
-  // filesystem for a key resolved here.
+  // key in a single sorted pass over its segment index — workers
+  // dispatched below never touch the cache for a key resolved here.
   std::vector<cache::ScenarioKey> owner_keys;
   owner_keys.reserve(owners.size());
   for (const auto i : owners) owner_keys.push_back(keys[i]);
@@ -109,7 +108,6 @@ std::vector<cache::Entry> run_cached(
   if (obs::enabled()) {
     auto& reg = obs::Registry::instance();
     reg.observe_wall("cache.pack_hits", batch.pack_hits);
-    reg.observe_wall("cache.loose_hits", batch.loose_hits);
     reg.observe_wall("cache.misses", batch.misses);
   }
 
@@ -155,7 +153,6 @@ std::vector<cache::Entry> run_cached(
     delta.cache_enabled = true;
     delta.cache_hits = hits;
     delta.cache_pack_hits = batch.pack_hits;
-    delta.cache_loose_hits = batch.loose_hits;
     delta.cache_misses = to_run.size();
     delta.cache_dedup = dedup;
     delta.cache_stores = to_run.size();

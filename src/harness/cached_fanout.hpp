@@ -11,8 +11,8 @@
 //      duplicate (the serial path would recompute; the results are
 //      identical by the determinism contract, so dedup is invisible);
 //   4. fans only the remaining misses out to the worker pool, stores each
-//      computed entry (atomic write, see cache::Store), and returns all
-//      results in canonical job order.
+//      computed entry (one record appended to the store's own segment,
+//      see cache::Store), and returns all results in canonical job order.
 //
 // With no store configured it degenerates to the plain executor fan-out.
 // Hit/miss/dedup/store counts accumulate into the ExecReport, so --stats

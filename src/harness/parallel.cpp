@@ -15,7 +15,6 @@ void ExecReport::accumulate(const ExecReport& other) {
   cache_enabled = cache_enabled || other.cache_enabled;
   cache_hits += other.cache_hits;
   cache_pack_hits += other.cache_pack_hits;
-  cache_loose_hits += other.cache_loose_hits;
   cache_misses += other.cache_misses;
   cache_dedup += other.cache_dedup;
   cache_stores += other.cache_stores;
@@ -33,9 +32,9 @@ std::string ExecReport::to_json() const {
      << ",\"tasks_run\":" << tasks_run << ",\"wall_ms\":" << wall_ms;
   if (cache_enabled) {
     os << ",\"cache\":{\"hits\":" << cache_hits << ",\"pack_hits\":"
-       << cache_pack_hits << ",\"loose_hits\":" << cache_loose_hits
-       << ",\"misses\":" << cache_misses << ",\"in_flight_dedup\":"
-       << cache_dedup << ",\"stores\":" << cache_stores << "}";
+       << cache_pack_hits << ",\"misses\":" << cache_misses
+       << ",\"in_flight_dedup\":" << cache_dedup << ",\"stores\":"
+       << cache_stores << "}";
   }
   if (cov_enabled) {
     os << ",\"coverage\":{\"scenario_features\":" << cov_features

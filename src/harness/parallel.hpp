@@ -51,12 +51,9 @@ struct ExecReport {
   // to_json omits the cache object entirely.
   bool cache_enabled = false;
   std::uint64_t cache_hits = 0;    ///< scenarios served from the cache
-  /// Hit split by storage layer: pack = served via the mmap'd manifest
-  /// path, loose = read from a <2hex>/<key>.nidc file. pack + loose ==
-  /// hits; a warm run whose pack_hits collapse to loose_hits has silently
-  /// lost its compacted fast path — visible here and in --stats.
+  /// The hits read from a segment on disk; the rest are entries the same
+  /// store put earlier in the run.
   std::uint64_t cache_pack_hits = 0;
-  std::uint64_t cache_loose_hits = 0;
   std::uint64_t cache_misses = 0;  ///< scenarios simulated (and stored)
   /// Scenarios whose key duplicated an earlier scenario of the same
   /// fan-out: computed (or fetched) once, fanned in to every duplicate.
@@ -77,7 +74,7 @@ struct ExecReport {
   void accumulate(const ExecReport& other);
 
   /// {"jobs":N,"max_queue_depth":...,"tasks_run":...,"wall_ms":...,
-  ///  "cache":{"hits":...,"pack_hits":...,"loose_hits":...,"misses":...,
+  ///  "cache":{"hits":...,"pack_hits":...,"misses":...,
   ///           "in_flight_dedup":...,"stores":...},
   ///  "coverage":{"scenario_features":...,"novel":...},
   ///  "scenarios":[{"index":i,"label":"...","wall_ms":...},...]}

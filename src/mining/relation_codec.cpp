@@ -30,22 +30,11 @@ void encode_direction(const RelationSet& set, RelationDirection dir,
   for (const auto& [cell, stats] : cells) {
     encode_label(cell.stimulus, out);
     encode_label(cell.response, out);
-    out.u32(static_cast<std::uint32_t>(stats.count >> 32));
-    out.u32(static_cast<std::uint32_t>(stats.count));
-    out.i32(static_cast<std::int32_t>(stats.first_seen.count() >> 32));
-    out.u32(static_cast<std::uint32_t>(stats.first_seen.count()));
-    out.u32(static_cast<std::uint32_t>(
-        static_cast<std::uint64_t>(stats.example_stimulus) >> 32));
-    out.u32(static_cast<std::uint32_t>(stats.example_stimulus));
-    out.u32(static_cast<std::uint32_t>(
-        static_cast<std::uint64_t>(stats.example_response) >> 32));
-    out.u32(static_cast<std::uint32_t>(stats.example_response));
+    out.u64(stats.count);
+    out.u64(static_cast<std::uint64_t>(stats.first_seen.count()));
+    out.u64(stats.example_stimulus);
+    out.u64(stats.example_response);
   }
-}
-
-std::uint64_t read_u64(ByteReader& in) {
-  const std::uint64_t hi = in.u32();
-  return (hi << 32) | in.u32();
 }
 
 bool decode_direction(ByteReader& in, RelationDirection dir,
@@ -61,10 +50,10 @@ bool decode_direction(ByteReader& in, RelationDirection dir,
     if (!decode_label(in, cell.stimulus)) return false;
     if (!decode_label(in, cell.response)) return false;
     RelationStats stats;
-    stats.count = read_u64(in);
-    stats.first_seen = SimTime{static_cast<std::int64_t>(read_u64(in))};
-    stats.example_stimulus = static_cast<std::size_t>(read_u64(in));
-    stats.example_response = static_cast<std::size_t>(read_u64(in));
+    stats.count = in.u64();
+    stats.first_seen = SimTime{static_cast<std::int64_t>(in.u64())};
+    stats.example_stimulus = static_cast<std::size_t>(in.u64());
+    stats.example_response = static_cast<std::size_t>(in.u64());
     if (!in.ok()) return false;
     set.append_sorted(dir, std::move(cell), stats);
   }

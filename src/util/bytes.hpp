@@ -38,6 +38,10 @@ class ByteWriter {
     buf_.push_back(static_cast<std::uint8_t>(v));
   }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
+  void u64(std::uint64_t v) {
+    u32(static_cast<std::uint32_t>(v >> 32));
+    u32(static_cast<std::uint32_t>(v));
+  }
   void bytes(std::span<const std::uint8_t> data) {
     buf_.insert(buf_.end(), data.begin(), data.end());
   }
@@ -96,6 +100,10 @@ class ByteReader {
     return v;
   }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
+  std::uint64_t u64() {
+    const std::uint64_t hi = u32();
+    return (hi << 32) | u32();
+  }
 
   /// Reads `n` raw bytes; returns an empty span (and sets the error flag)
   /// if fewer than `n` remain.

@@ -25,46 +25,61 @@ TEST(Key, DeterministicAcrossCalls) {
   const harness::Scenario s;
   EXPECT_EQ(key_of(s), key_of(s));
   EXPECT_EQ(key_of(s).hex().size(), 32u);
-  EXPECT_EQ(key_of(s).prefix(), key_of(s).hex().substr(0, 2));
 }
 
 // The coverage contract: every simulation-affecting knob must perturb the
-// key. Each mutation below flips exactly one field from the default
-// scenario; all resulting keys (plus the default's) must be distinct.
+// key. Each mutation below flips exactly one field from a default scenario
+// of the protocol that reads it; all resulting keys (plus the three
+// defaults') must be distinct.
 TEST(Key, EveryScenarioKnobChangesTheKey) {
   using Mut = std::function<void(harness::Scenario&)>;
-  const std::vector<std::pair<std::string, Mut>> mutations = {
-      {"protocol", [](auto& s) { s.protocol = harness::Protocol::kRip; }},
-      {"topology.kind",
+  struct Case {
+    std::string name;
+    harness::Protocol protocol;
+    Mut mutate;
+  };
+  constexpr auto kOspf = harness::Protocol::kOspf;
+  constexpr auto kRip = harness::Protocol::kRip;
+  constexpr auto kBgp = harness::Protocol::kBgp;
+  const std::vector<Case> mutations = {
+      {"topology.kind", kOspf,
        [](auto& s) { s.topology = topo::Spec{topo::Kind::kRing, 2}; }},
-      {"topology.routers",
+      {"topology.routers", kOspf,
        [](auto& s) { s.topology = topo::Spec{topo::Kind::kLinear, 3}; }},
-      {"ospf_profile.name", [](auto& s) { s.ospf_profile.name = "other"; }},
-      {"ospf_profile.duration-knob",
+      {"ospf_profile.name", kOspf,
+       [](auto& s) { s.ospf_profile.name = "other"; }},
+      {"ospf_profile.duration-knob", kOspf,
        [](auto& s) { s.ospf_profile.delayed_ack_delay = 2s; }},
-      {"ospf_profile.bool-knob",
+      {"ospf_profile.bool-knob", kOspf,
        [](auto& s) { s.ospf_profile.ack_from_database = true; }},
-      {"ospf_profile.count-knob",
+      {"ospf_profile.count-knob", kOspf,
        [](auto& s) { s.ospf_profile.lsu_max_lsas = 17; }},
-      {"rip_profile", [](auto& s) { s.rip_profile.name = "other"; }},
-      {"bgp_profile", [](auto& s) { s.bgp_profile.name = "other"; }},
-      {"bgp_longpath_prepend", [](auto& s) { s.bgp_longpath_prepend = 7; }},
-      {"tdelay", [](auto& s) { s.tdelay = 901ms; }},
-      {"link_jitter", [](auto& s) { s.link_jitter = 11ms; }},
-      {"link_loss", [](auto& s) { s.link_loss = 0.003; }},
-      {"duration", [](auto& s) { s.duration = 181s; }},
-      {"seed", [](auto& s) { s.seed = 2; }},
-      {"lsa_refresh", [](auto& s) { s.lsa_refresh = 1s; }},
-      {"churn_times.value", [](auto& s) { s.churn_times[0] += 1s; }},
-      {"churn_times.count", [](auto& s) { s.churn_times.push_back(150s); }},
-      {"state_probe", [](auto& s) { s.state_probe = false; }},
+      {"rip_profile", kRip, [](auto& s) { s.rip_profile.name = "other"; }},
+      {"bgp_profile", kBgp, [](auto& s) { s.bgp_profile.name = "other"; }},
+      {"bgp_longpath_prepend", kBgp,
+       [](auto& s) { s.bgp_longpath_prepend = 7; }},
+      {"tdelay", kOspf, [](auto& s) { s.tdelay = 901ms; }},
+      {"link_jitter", kOspf, [](auto& s) { s.link_jitter = 11ms; }},
+      {"link_loss", kOspf, [](auto& s) { s.link_loss = 0.003; }},
+      {"duration", kOspf, [](auto& s) { s.duration = 181s; }},
+      {"seed", kOspf, [](auto& s) { s.seed = 2; }},
+      {"lsa_refresh", kOspf, [](auto& s) { s.lsa_refresh = 1s; }},
+      {"churn_times.value", kOspf, [](auto& s) { s.churn_times[0] += 1s; }},
+      {"churn_times.count", kOspf,
+       [](auto& s) { s.churn_times.push_back(150s); }},
+      {"state_probe", kOspf, [](auto& s) { s.state_probe = false; }},
   };
 
-  const harness::Scenario base;
-  std::vector<std::pair<std::string, ScenarioKey>> keys = {
-      {"default", key_of(base)}};
-  for (const auto& [name, mutate] : mutations) {
+  std::vector<std::pair<std::string, ScenarioKey>> keys;
+  for (const auto protocol : {kOspf, kRip, kBgp}) {
+    harness::Scenario base;
+    base.protocol = protocol;
+    keys.emplace_back("default/" + std::to_string(static_cast<int>(protocol)),
+                      key_of(base));
+  }
+  for (const auto& [name, protocol, mutate] : mutations) {
     harness::Scenario s;
+    s.protocol = protocol;
     mutate(s);
     keys.emplace_back(name, key_of(s));
   }
@@ -72,6 +87,16 @@ TEST(Key, EveryScenarioKnobChangesTheKey) {
     for (std::size_t j = i + 1; j < keys.size(); ++j)
       EXPECT_NE(keys[i].second, keys[j].second)
           << keys[i].first << " vs " << keys[j].first;
+
+  // run_scenario reads only the profile of the protocol it runs, so the
+  // other protocols' profiles leave the key alone.
+  const harness::Scenario ospf;
+  for (const auto& [name, protocol, mutate] : mutations) {
+    if (protocol == kOspf) continue;
+    harness::Scenario s;
+    mutate(s);
+    EXPECT_EQ(key_of(s), key_of(ospf)) << name;
+  }
 }
 
 TEST(Key, MinerConfigChangesTheKey) {

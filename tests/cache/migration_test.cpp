@@ -1,15 +1,15 @@
-// Format-version migration: coverage vectors ride inside cache entries
-// as of kCacheFormatVersion 3. Entries from an older format decode as a
-// miss (the migration path is "re-simulate and re-store"), compact
-// reports them as version skew instead of corruption, and current-format
-// entries round-trip their coverage bit-for-bit.
+// Format-version migration: segment records carry entries of
+// kCacheFormatVersion 4. Entries from an older format decode as a miss
+// (the migration path is "re-simulate and re-store"), compact reports
+// them as version skew instead of corruption, and current-format entries
+// round-trip their coverage bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 
 #include "cache/key.hpp"
-#include "cache/pack.hpp"
 #include "cache/store.hpp"
 #include "harness/scenario.hpp"
 
@@ -61,13 +61,30 @@ class MigrationTest : public ::testing::Test {
     return b;
   }
 
+  /// Writes `entries` (encoded entry bytes) as the records of one new
+  /// segment.
+  void write_segment(const std::vector<std::vector<std::uint8_t>>& entries) {
+    fs::create_directories(dir_);
+    std::ofstream f(
+        fs::path(dir_) / ("crafted" + std::string(kSegmentExtension)),
+        std::ios::binary);
+    const auto now = std::chrono::duration_cast<std::chrono::seconds>(
+        std::chrono::system_clock::now().time_since_epoch());
+    for (const auto& entry : entries) {
+      const auto record = encode_record(entry, now.count());
+      f.write(reinterpret_cast<const char*>(record.data()),
+              static_cast<std::streamsize>(record.size()));
+    }
+  }
+
   std::string dir_;
 };
 
-TEST_F(MigrationTest, FormatVersionIsThree) {
-  // Coverage vectors entered the framing at version 3. Bump this (and
-  // add a skew case below) the next time the entry layout changes.
-  EXPECT_EQ(kCacheFormatVersion, 3u);
+TEST_F(MigrationTest, FormatVersionIsFour) {
+  // Version 4 moved entries into segment records and keys onto the
+  // scenario's own protocol profile. Bump this (and add a skew case
+  // below) the next time the entry layout changes.
+  EXPECT_EQ(kCacheFormatVersion, 4u);
 }
 
 TEST_F(MigrationTest, CoverageRoundTripsThroughCodec) {
@@ -87,7 +104,7 @@ TEST_F(MigrationTest, CoverageRoundTripsThroughTheStore) {
     Store store(dir_);
     store.put(key, covered_entry());
   }
-  Store fresh(dir_);  // disk path, not the memory cache
+  Store fresh(dir_);  // read from the segment, not from what it put
   const auto back = fresh.get(key);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->coverage, covered_entry().coverage);
@@ -96,72 +113,59 @@ TEST_F(MigrationTest, CoverageRoundTripsThroughTheStore) {
 TEST_F(MigrationTest, OlderFormatEntryDecodesAsAMiss) {
   const auto key = key_for_seed(3);
   const auto bytes = encode_entry(key, covered_entry());
-  const auto old = with_version(bytes, 2);
-  EXPECT_EQ(peek_entry_format(old), 2u);
+  const auto old = with_version(bytes, 3);
+  EXPECT_EQ(peek_entry_format(old), 3u);
   EXPECT_FALSE(decode_entry(key, old).has_value());
 
-  // Through the store: a version-2 file on disk is a miss, not an error.
-  Store store(dir_);
-  store.put(key, covered_entry());
-  const auto path = fs::path(dir_) / key.prefix() / (key.hex() + ".nidc");
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f.write(reinterpret_cast<const char*>(old.data()),
-            static_cast<std::streamsize>(old.size()));
-  }
+  // Through the store: a version-3 record in a segment is a miss, not an
+  // error.
+  write_segment({old});
   Store fresh(dir_);
   EXPECT_FALSE(fresh.get(key).has_value());
+  EXPECT_EQ(fresh.counters().bad_entries, 1u);
 }
 
 TEST_F(MigrationTest, LsReportsEachEntrysFormat) {
-  Store store(dir_);
   const auto key = key_for_seed(4);
-  store.put(key, covered_entry());
+  {
+    Store store(dir_);
+    store.put(key, covered_entry());
+  }
   const auto entries = Store::ls(dir_);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].format, kCacheFormatVersion);
 
-  // Rewrite as version 2: ls still lists it, with the skewed format.
-  const auto old = with_version(encode_entry(key, covered_entry()), 2);
-  const auto path = fs::path(dir_) / key.prefix() / (key.hex() + ".nidc");
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f.write(reinterpret_cast<const char*>(old.data()),
-            static_cast<std::streamsize>(old.size()));
-  }
+  // The same key as a version-3 record only: ls still lists it, with the
+  // skewed format.
+  Store::clear(dir_);
+  write_segment({with_version(encode_entry(key, covered_entry()), 3)});
   const auto after = Store::ls(dir_);
   ASSERT_EQ(after.size(), 1u);
-  EXPECT_EQ(after[0].format, 2u);
+  EXPECT_EQ(after[0].key, key);
+  EXPECT_EQ(after[0].format, 3u);
   EXPECT_FALSE(after[0].valid);
 }
 
 TEST_F(MigrationTest, CompactCountsVersionSkewSeparately) {
-  Store store(dir_);
   const auto keep = key_for_seed(5);
   const auto skewed = key_for_seed(6);
   const auto junk = key_for_seed(7);
-  store.put(keep, covered_entry());
-  store.put(skewed, covered_entry());
-  store.put(junk, covered_entry());
-
-  const auto old = with_version(encode_entry(skewed, covered_entry()), 2);
   {
-    std::ofstream f(fs::path(dir_) / skewed.prefix() / (skewed.hex() + ".nidc"),
-                    std::ios::binary | std::ios::trunc);
-    f.write(reinterpret_cast<const char*>(old.data()),
-            static_cast<std::streamsize>(old.size()));
+    Store store(dir_);
+    store.put(keep, covered_entry());
   }
-  std::ofstream(fs::path(dir_) / junk.prefix() / (junk.hex() + ".nidc"),
-                std::ios::binary | std::ios::trunc)
-      << "not a cache entry";
+  auto corrupt = encode_entry(junk, covered_entry());
+  corrupt[0] ^= 0xFF;  // the magic: corrupt framing, not version skew
+  write_segment(
+      {with_version(encode_entry(skewed, covered_entry()), 3), corrupt});
 
   const auto result = compact(dir_);
   ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->packed, 1u);
+  EXPECT_EQ(result->kept, 1u);
   EXPECT_EQ(result->skipped, 1u);          // corrupt framing
   EXPECT_EQ(result->skipped_version, 1u);  // intact framing, old format
 
-  // The packed current-format entry still replays its coverage.
+  // The compacted current-format entry still replays its coverage.
   Store fresh(dir_);
   const auto back = fresh.get(keep);
   ASSERT_TRUE(back.has_value());

@@ -49,6 +49,23 @@ class StoreTest : public ::testing::Test {
     return entry;
   }
 
+  /// Flips the last byte of the directory's only segment: the payload of
+  /// its last record.
+  void flip_last_byte() {
+    std::vector<fs::path> segments;
+    for (const auto& e : fs::directory_iterator(dir_))
+      segments.push_back(e.path());
+    ASSERT_EQ(segments.size(), 1u);
+    std::fstream f(segments[0],
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(-1, std::ios::end);
+    char byte = 0;
+    f.read(&byte, 1);
+    f.seekp(-1, std::ios::end);
+    byte = static_cast<char>(byte ^ 0x5A);
+    f.write(&byte, 1);
+  }
+
   std::string dir_;
 };
 
@@ -63,7 +80,9 @@ TEST_F(StoreTest, MissThenPutThenMemoryHit) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->summary, sample_entry().summary);
   EXPECT_TRUE(back->relations.has(kSR, "LSU", "LSAck"));
-  EXPECT_EQ(store.counters().memory_hits, 1u);
+  // Served from the bytes this store put, not from its (older) index.
+  EXPECT_EQ(store.counters().hits, 1u);
+  EXPECT_EQ(store.counters().pack_hits, 0u);
   EXPECT_EQ(store.counters().stores, 1u);
 }
 
@@ -76,7 +95,7 @@ TEST_F(StoreTest, PersistsAcrossStoreInstances) {
   Store fresh(dir_);
   const auto back = fresh.get(key);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(fresh.counters().disk_hits, 1u);
+  EXPECT_EQ(fresh.counters().pack_hits, 1u);
   EXPECT_EQ(back->summary, sample_entry().summary);
   // The scenario's obs delta rides along so cache hits can replay it.
   EXPECT_EQ(back->metrics, sample_entry().metrics);
@@ -86,23 +105,16 @@ TEST_F(StoreTest, PersistsAcrossStoreInstances) {
   EXPECT_EQ(stats->first_seen, SimTime{1s});
   EXPECT_EQ(stats->example_stimulus, 5u);
 
-  // The disk hit was promoted: a second lookup is a memory hit.
+  // Every lookup decodes from the segment again; nothing is promoted.
   EXPECT_TRUE(fresh.get(key).has_value());
-  EXPECT_EQ(fresh.counters().memory_hits, 1u);
-}
-
-TEST_F(StoreTest, EntryLandsInShardedLayout) {
-  const auto key = key_for_seed(3);
-  Store store(dir_);
-  store.put(key, sample_entry());
-  const auto path = fs::path(dir_) / key.prefix() / (key.hex() + ".nidc");
-  EXPECT_TRUE(fs::exists(path));
-  // No temp droppings left behind.
+  EXPECT_EQ(fresh.counters().pack_hits, 2u);
+  // One segment, no temp droppings left behind.
+  std::size_t files = 0;
   for (const auto& e : fs::recursive_directory_iterator(dir_)) {
-    if (e.is_regular_file()) {
-      EXPECT_EQ(e.path().extension(), ".nidc");
-    }
+    EXPECT_EQ(e.path().extension(), kSegmentExtension) << e.path();
+    ++files;
   }
+  EXPECT_EQ(files, 1u);
 }
 
 TEST_F(StoreTest, SweepStatsRoundTrip) {
@@ -128,32 +140,12 @@ TEST_F(StoreTest, CorruptFileIsAMissNotAnError) {
     Store store(dir_);
     store.put(key, sample_entry());
   }
-  const auto path = fs::path(dir_) / key.prefix() / (key.hex() + ".nidc");
-  std::ofstream(path, std::ios::binary) << "not a cache entry";
+  flip_last_byte();
 
   Store fresh(dir_);
   EXPECT_FALSE(fresh.get(key).has_value());
   EXPECT_EQ(fresh.counters().bad_entries, 1u);
   EXPECT_EQ(fresh.counters().misses, 1u);
-}
-
-TEST_F(StoreTest, RenamedEntryCannotServeTheWrongKey) {
-  // A valid entry copied under another key's file name must not satisfy
-  // that key: the embedded key echo catches it.
-  const auto key_a = key_for_seed(5);
-  const auto key_b = key_for_seed(6);
-  {
-    Store store(dir_);
-    store.put(key_a, sample_entry());
-  }
-  const auto path_a = fs::path(dir_) / key_a.prefix() / (key_a.hex() + ".nidc");
-  const auto path_b = fs::path(dir_) / key_b.prefix() / (key_b.hex() + ".nidc");
-  fs::create_directories(path_b.parent_path());
-  fs::copy_file(path_a, path_b);
-
-  Store fresh(dir_);
-  EXPECT_FALSE(fresh.get(key_b).has_value());
-  EXPECT_EQ(fresh.counters().bad_entries, 1u);
 }
 
 TEST_F(StoreTest, EncodeDecodeEntryRejectsTampering) {
@@ -172,6 +164,9 @@ TEST_F(StoreTest, EncodeDecodeEntryRejectsTampering) {
   auto flipped = bytes;
   flipped[0] ^= 0xFF;  // magic
   EXPECT_FALSE(decode_entry(key, flipped).has_value());
+
+  // A valid entry never satisfies another key: the key echo catches it.
+  EXPECT_FALSE(decode_entry(key_for_seed(6), bytes).has_value());
 }
 
 TEST_F(StoreTest, LsListsEntriesSortedByKey) {
@@ -193,14 +188,13 @@ TEST_F(StoreTest, LsListsEntriesSortedByKey) {
 }
 
 TEST_F(StoreTest, PruneRemovesOldAndInvalidEntries) {
-  Store store(dir_);
-  store.put(key_for_seed(10), sample_entry());
-  store.put(key_for_seed(11), sample_entry());
-  // Corrupt one entry: prune removes it regardless of age.
-  const auto victim = key_for_seed(11);
-  std::ofstream(fs::path(dir_) / victim.prefix() / (victim.hex() + ".nidc"),
-                std::ios::binary)
-      << "junk";
+  {
+    Store store(dir_);
+    store.put(key_for_seed(10), sample_entry());
+    store.put(key_for_seed(11), sample_entry());
+  }
+  // Corrupt the last record (seed 11): prune removes it regardless of age.
+  flip_last_byte();
 
   EXPECT_EQ(Store::prune(dir_, 365.0), 1u);  // only the invalid one
   EXPECT_EQ(Store::ls(dir_).size(), 1u);
@@ -209,52 +203,20 @@ TEST_F(StoreTest, PruneRemovesOldAndInvalidEntries) {
 }
 
 TEST_F(StoreTest, ClearRemovesEverything) {
-  Store store(dir_);
-  store.put(key_for_seed(12), sample_entry());
-  store.put(key_for_seed(13), sample_entry());
-  EXPECT_EQ(Store::clear(dir_), 2u);
+  {
+    Store store(dir_);
+    store.put(key_for_seed(12), sample_entry());
+    store.put(key_for_seed(13), sample_entry());
+  }
+  ASSERT_TRUE(compact(dir_).has_value());
+  {
+    Store store(dir_);
+    store.put(key_for_seed(14), sample_entry());
+  }
+  EXPECT_EQ(Store::clear(dir_), 3u);
   EXPECT_TRUE(Store::ls(dir_).empty());
-  // Shard directories are gone too.
+  // No stray files: every segment is gone.
   EXPECT_TRUE(!fs::exists(dir_) || fs::is_empty(dir_));
-}
-
-TEST_F(StoreTest, HitSidecarCountsReuseAcrossProcesses) {
-  Store store(dir_);
-  const auto key = key_for_seed(20);
-  store.put(key, sample_entry());
-  ASSERT_EQ(Store::ls(dir_).size(), 1u);
-  EXPECT_EQ(Store::ls(dir_).at(0).hits, 0u);
-
-  (void)store.get(key);  // memory hit
-  (void)store.get(key);  // memory hit
-  Store fresh(dir_);     // "another process"
-  (void)fresh.get(key);  // disk hit
-  EXPECT_EQ(Store::ls(dir_).at(0).hits, 3u);
-
-  // Misses touch nothing.
-  Store fresh2(dir_);
-  EXPECT_FALSE(fresh2.get(key_for_seed(21)).has_value());
-  EXPECT_EQ(Store::ls(dir_).at(0).hits, 3u);
-}
-
-TEST_F(StoreTest, ClearAndPruneRemoveHitSidecars) {
-  Store store(dir_);
-  const auto key = key_for_seed(22);
-  store.put(key, sample_entry());
-  (void)store.get(key);
-  EXPECT_EQ(Store::ls(dir_).at(0).hits, 1u);
-  EXPECT_EQ(Store::clear(dir_), 1u);
-  // The sidecar is gone with the entry, so the tree is pristine.
-  EXPECT_TRUE(!fs::exists(dir_) || fs::is_empty(dir_));
-
-  store.put(key, sample_entry());
-  (void)store.get(key);
-  EXPECT_EQ(Store::prune(dir_, 0.0), 1u);
-  EXPECT_TRUE(Store::ls(dir_).empty());
-  std::size_t stray = 0;
-  for (fs::recursive_directory_iterator it(dir_), end; it != end; ++it)
-    if (it->is_regular_file()) ++stray;
-  EXPECT_EQ(stray, 0u) << "prune must not orphan .hits sidecars";
 }
 
 TEST_F(StoreTest, MaintenanceOnMissingDirIsHarmless) {

@@ -144,6 +144,65 @@ TEST(Cli, AuditRejectsNegativeDurations) {
   }
 }
 
+TEST(Cli, EveryCommandRejectsBadFlags) {
+  // Per command: a flag no command reads, a flag only other commands
+  // read, and an integer one past its maximum (inject takes no integer).
+  // Each exits 2 before any work, with a message naming the flag.
+  struct Case {
+    const char* command;
+    const char* inapplicable;
+    const char* over_max;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"audit", "--target", "--tdelay-ms", "60001"},
+      {"trace", "--impls", "--duration-s", "3601"},
+      {"mine", "--jobs", "--tdelay-ms", "60001"},
+      {"sweep", "--seeds", "--max-ms", "60001"},
+      {"inject", "--jobs", nullptr, nullptr},
+      {"triage", "--impl", "--max-probes", "1000001"},
+      {"stability", "--report-out", "--jobs", "257"},
+      {"coverage", "--max-probes", "--duration-s", "3601"},
+      {"cache", "--seeds", "--max-age-days", "36501"},
+  };
+  auto expect_usage_error = [](const std::vector<std::string>& tokens,
+                               const std::string& flag) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(tokens, out, err), 2) << tokens[0] << " " << flag;
+    EXPECT_NE(err.str().find(flag), std::string::npos) << err.str();
+    EXPECT_EQ(out.str(), "") << tokens[0] << " " << flag;
+  };
+  for (const auto& c : cases) {
+    expect_usage_error({c.command, "--tdelay", "5"}, "--tdelay");
+    expect_usage_error({c.command, c.inapplicable, "1"}, c.inapplicable);
+    if (c.over_max)
+      expect_usage_error({c.command, c.over_max, c.value}, c.over_max);
+  }
+  // Values that once overflowed the microsecond conversion, never
+  // finished, or aborted on thread creation.
+  expect_usage_error({"audit", "--tdelay-ms", "9223372036854775807"},
+                     "--tdelay-ms");
+  expect_usage_error({"audit", "--tdelay-ms", "9223372036854776"},
+                     "--tdelay-ms");
+  expect_usage_error({"trace", "--duration-s", "9223372036854775807"},
+                     "--duration-s");
+  expect_usage_error({"audit", "--churn-s", "60,9223372036854775807"},
+                     "--churn-s");
+  expect_usage_error({"triage", "--churn-s", "-1"}, "--churn-s");
+  expect_usage_error(
+      {"sweep", "--max-ms", "9223372036854775807", "--step-ms", "1"},
+      "--max-ms");
+  expect_usage_error({"audit", "--jobs", "32768"}, "--jobs");
+  expect_usage_error({"audit", "--json"}, "--json");
+}
+
+TEST(Cli, FlagsAtTheirMaximumRun) {
+  const auto r = run({"audit", "--impls", "frr,bird", "--topos", "linear-2",
+                      "--seeds", "1", "--duration-s", "3600", "--tdelay-ms",
+                      "60000", "--churn-s", "3600", "--jobs", "256"});
+  EXPECT_EQ(r.code, 0) << r.err;
+}
+
 TEST(Cli, TraceThenMineRoundTrips) {
   const std::string path = "cli_test_trace.tmp";
   const auto t = run({"trace", "--impl", "frr", "--topo", "linear-2",
@@ -273,7 +332,7 @@ TEST(Cli, WarmAuditIsByteIdenticalAndMaintainable) {
   const auto ls = run({"cache", "ls", "--cache-dir", dir});
   EXPECT_EQ(ls.code, 0) << ls.err;
   EXPECT_NE(ls.out.find("2 entries"), std::string::npos);
-  EXPECT_NE(ls.out.find("hits"), std::string::npos);  // reuse column
+  EXPECT_EQ(ls.out.rfind("key kind bytes age_s valid\n", 0), 0u);
 
   const auto cleared = run({"cache", "clear", "--cache-dir", dir});
   EXPECT_EQ(cleared.code, 0);
@@ -347,17 +406,17 @@ TEST(Cli, CacheLsJsonListsEntries) {
   EXPECT_NE(ls.out.find("\"key\":\""), std::string::npos);
   EXPECT_NE(ls.out.find("\"kind\":\"mined\""), std::string::npos);
   EXPECT_NE(ls.out.find("\"bytes\":"), std::string::npos);
-  EXPECT_NE(ls.out.find("\"hits\":0"), std::string::npos);
   EXPECT_NE(ls.out.find("\"valid\":true"), std::string::npos);
 
-  // A warm re-run consumes every entry once; the hit counter shows it.
+  // A warm re-run reads every entry and writes nothing: the listing is
+  // the same two entries.
   const auto warm = run({"audit", "--impls", "frr,bird", "--topos",
                          "linear-2", "--seeds", "1", "--duration-s", "90",
                          "--cache-dir", dir});
   EXPECT_EQ(warm.code, 0) << warm.err;
   const auto warm_ls = run({"cache", "ls", "--json", "--cache-dir", dir});
-  EXPECT_NE(warm_ls.out.find("\"hits\":1"), std::string::npos);
-  EXPECT_EQ(warm_ls.out.find("\"hits\":0"), std::string::npos);
+  EXPECT_EQ(std::count(warm_ls.out.begin(), warm_ls.out.end(), '{'), 2);
+  EXPECT_EQ(warm_ls.out.find("\"valid\":false"), std::string::npos);
 
   run({"cache", "clear", "--cache-dir", dir});
   const auto empty = run({"cache", "ls", "--json", "--cache-dir", dir});
@@ -503,7 +562,7 @@ TEST(Cli, CacheCompactReportsVersionSkew) {
   const std::string dir = "cli_cache_skew_test.tmp";
   run({"cache", "clear", "--cache-dir", dir});
 
-  // Two current-format entries, one rewritten as the previous format.
+  // One current-format entry and one of the previous format.
   harness::Scenario keep_scenario, skew_scenario;
   keep_scenario.seed = 1;
   skew_scenario.seed = 2;
@@ -517,21 +576,22 @@ TEST(Cli, CacheCompactReportsVersionSkew) {
   {
     cache::Store store(dir);
     store.put(keep, entry);
-    store.put(skew, entry);
   }
+  // The skewed entry as a record in a segment of its own.
   auto old = cache::encode_entry(skew, entry);
-  old[7] = 2;  // big-endian version field: patch 3 -> 2
-  const auto path = std::filesystem::path(dir) / skew.prefix() /
-                    (skew.hex() + ".nidc");
+  old[7] = static_cast<std::uint8_t>(cache::kCacheFormatVersion - 1);
   {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f.write(reinterpret_cast<const char*>(old.data()),
-            static_cast<std::streamsize>(old.size()));
+    std::ofstream f(std::filesystem::path(dir) /
+                        ("skew" + std::string(cache::kSegmentExtension)),
+                    std::ios::binary);
+    const auto record = cache::encode_record(old, 0);
+    f.write(reinterpret_cast<const char*>(record.data()),
+            static_cast<std::streamsize>(record.size()));
   }
 
   const auto r = run({"cache", "compact", "--cache-dir", dir});
   EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("packed 1 loose entries"), std::string::npos);
+  EXPECT_NE(r.out.find("packed 1 entries"), std::string::npos);
   EXPECT_NE(r.out.find("skipped 1 for format-version skew"),
             std::string::npos);
   run({"cache", "clear", "--cache-dir", dir});
