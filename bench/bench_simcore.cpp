@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "cov/cov.hpp"
 #include "harness/experiment.hpp"
 #include "netsim/network.hpp"
 #include "netsim/simulator.hpp"
@@ -330,27 +329,6 @@ int main(int argc, char** argv) {
               obs_fanout.events_per_sec, obs_fanout.allocs_per_event,
               obs_overhead_pct);
 
-  // A/B: the same fan-out with coverage reporting enabled. Collection is
-  // always-on (plain integer ORs at existing stat-bump choke points), so
-  // flipping cov::enabled() may only add the relaxed load at merge time —
-  // the per-event delivery path must not move and must stay
-  // allocation-free.
-  cov::CoverageMap::instance().reset();
-  cov::set_enabled(true);
-  const Measurement cov_fanout =
-      bench_frame_fanout(fanout_sends, warmup / 8, false);
-  cov::set_enabled(false);
-  cov::CoverageMap::instance().reset();
-  const double cov_overhead_pct =
-      fanout.events_per_sec > 0
-          ? (fanout.events_per_sec - cov_fanout.events_per_sec) * 100.0 /
-                fanout.events_per_sec
-          : 0.0;
-  std::printf("cov_fanout:    %12.0f frames/s   %.3f allocs/event"
-              "   (coverage enabled, %+.2f%% vs disabled)\n",
-              cov_fanout.events_per_sec, cov_fanout.allocs_per_event,
-              cov_overhead_pct);
-
   const Measurement spf = best_of([&] {
     return bench_spf_probe(short_mode ? 2'000'000 : 20'000'000);
   });
@@ -376,17 +354,13 @@ int main(int argc, char** argv) {
       "\"traced_fanout\":{\"frames_per_sec\":%.0f,\"allocs_per_event\":%.4f},"
       "\"obs_fanout\":{\"frames_per_sec\":%.0f,\"allocs_per_event\":%.4f,"
       "\"overhead_pct\":%.2f},"
-      "\"cov_fanout\":{\"frames_per_sec\":%.0f,\"allocs_per_event\":%.4f,"
-      "\"overhead_pct\":%.2f},"
       "\"spf_probe\":{\"probes_per_sec\":%.0f,\"allocs_per_probe\":%.4f},"
       "\"audit_wall_ms\":%.0f}",
       short_mode ? "short" : "full", timer.events_per_sec,
       timer.allocs_per_event, fanout.events_per_sec, fanout.allocs_per_event,
       traced.events_per_sec, traced.allocs_per_event,
       obs_fanout.events_per_sec, obs_fanout.allocs_per_event,
-      obs_overhead_pct, cov_fanout.events_per_sec,
-      cov_fanout.allocs_per_event, cov_overhead_pct, spf.events_per_sec,
-      spf.allocs_per_event, audit_ms);
+      obs_overhead_pct, spf.events_per_sec, spf.allocs_per_event, audit_ms);
   std::printf("\n%s\n", json);
 
   std::ofstream out(out_path);
@@ -403,11 +377,9 @@ int main(int argc, char** argv) {
   const bool zero_alloc = timer.allocs_per_event == 0.0 &&
                           fanout.allocs_per_event == 0.0 &&
                           obs_fanout.allocs_per_event == 0.0 &&
-                          cov_fanout.allocs_per_event == 0.0 &&
                           spf.allocs_per_event == 0.0;
   std::printf(
-      "\nzero steady-state allocations (timer + fanout + obs + cov + spf): "
-      "%s\n",
+      "\nzero steady-state allocations (timer + fanout + obs + spf): %s\n",
       zero_alloc ? "yes" : "NO");
 
   // Disabled-registry regression gate: against a baseline JSON, the
@@ -444,9 +416,6 @@ int main(int argc, char** argv) {
     check("traced_fanout",
           extract_rate(base, "traced_fanout", "frames_per_sec"),
           traced.events_per_sec);
-    check("cov_fanout",
-          extract_rate(base, "cov_fanout", "frames_per_sec"),
-          cov_fanout.events_per_sec);
     check("spf_probe",
           extract_rate(base, "spf_probe", "probes_per_sec"),
           spf.events_per_sec);

@@ -103,9 +103,8 @@ int usage(std::ostream& out) {
          "             [--scheme type|gtsn|state|lsatype] [--topos paper|extended]\n"
          "             [--format text|json]\n"
          "             [--tdelay-ms 900] [--seeds 1,2,3] [--duration-s 180]\n"
-         "             [--jobs N] [--stats file.json|inline] [--keep-bytes]\n"
-         "             [--stats-out file.json] [--metrics-out m.json]\n"
-         "             [--trace-out t.json]\n"
+         "             [--jobs N] [--keep-bytes] [--stats-out s.json]\n"
+         "             [--metrics-out m.json] [--trace-out t.json]\n"
          "  trace      --impl frr [--topo mesh-5] [--seed 1]\n"
          "             [--out trace.txt | --pcap capture.pcap]\n"
          "  mine       --in trace.txt [--tdelay-ms 900] [--scheme type]\n"
@@ -120,9 +119,8 @@ int usage(std::ostream& out) {
          "             and rank incidents\n"
          "  stability  [--impl frr] [--scheme type] [--seeds 1,2,3] [--jobs N]\n"
          "  coverage   [audit flags] [--format text|json] : run the audit\n"
-         "             with behavioral-coverage collection enabled and\n"
-         "             report the accumulated feature map, per-class\n"
-         "             saturation and the features-seen curve\n"
+         "             and report the behavioral features it exercised,\n"
+         "             per-class saturation and the features-seen curve\n"
          "  cache      ls|prune|clear|compact  --cache-dir DIR\n"
          "             [--max-age-days 30] [--json] : compact copies every\n"
          "             valid entry into one fresh segment; prune is compact\n"
@@ -131,7 +129,7 @@ int usage(std::ostream& out) {
          "\n"
          "  --jobs N parallelizes scenario execution over N workers\n"
          "  (default: hardware concurrency; results are identical for\n"
-         "  every N). --stats writes executor wall-time/queue telemetry.\n"
+         "  every N).\n"
          "  Audit/sweep traces keep only protocol digests; --keep-bytes\n"
          "  retains raw wire bytes too (for pcap export of audit runs).\n"
          "  --cache-dir DIR memoizes per-scenario results on disk, keyed\n"
@@ -139,16 +137,15 @@ int usage(std::ostream& out) {
          "  stability) replay hits instead of re-simulating, with byte-\n"
          "  identical output. NIDKIT_CACHE_DIR sets a default directory;\n"
          "  --no-cache overrides both.\n"
-         "  --stats-out FILE always writes executor telemetry to FILE (in\n"
-         "  addition to whatever --stats does). --metrics-out FILE writes\n"
-         "  an obs metrics snapshot: the \"sim\" section is deterministic\n"
-         "  (bit-identical for every --jobs value and cache temperature);\n"
-         "  the \"wall\" section holds wall-clock histograms and span\n"
-         "  counts. --trace-out FILE writes a Chrome trace-event JSON of\n"
-         "  the run's phase spans — open it in ui.perfetto.dev.\n"
-         "  --coverage-out FILE (audit/sweep/triage/stability) writes a\n"
-         "  behavioral-coverage snapshot; its \"cov\" section is one line\n"
-         "  and deterministic, like the metrics \"sim\" section.\n"
+         "  Telemetry (audit, sweep, triage, stability, coverage), one\n"
+         "  file each: --stats-out FILE writes executor wall-time, queue\n"
+         "  and cache telemetry. --metrics-out FILE writes the run record,\n"
+         "  one section per line: \"sim\" (simulated-time counters) and\n"
+         "  \"cov\" (behavioral coverage) are bit-identical for every\n"
+         "  --jobs value and cache temperature; \"wall\" holds wall-clock\n"
+         "  histograms and span counts. --trace-out FILE writes a Chrome\n"
+         "  trace-event JSON of the run's phase spans — open it in\n"
+         "  ui.perfetto.dev.\n"
          "  A flag the command does not read, or an integer outside its\n"
          "  range, is a usage error (exit 2).\n";
   return 0;
@@ -220,10 +217,17 @@ std::string resolve_cache_dir(const Args& args) {
 /// microseconds without overflow, and a run at the bound still finishes.
 constexpr long long kMaxTdelayMs = 60'000;
 constexpr long long kMaxDurationS = 3'600;
+/// Each churn event originates its own /24 from one octet of the address
+/// plan, so the 257th would repeat the first.
+constexpr std::size_t kMaxChurnTimes = 256;
 
+/// The experiment config the flags describe, recording into `record`
+/// (null: nothing recorded).
 std::optional<harness::ExperimentConfig> config_from(const Args& args,
+                                                     obs::RunRecord* record,
                                                      std::ostream& err) {
   harness::ExperimentConfig config;
+  config.record = record;
   const std::string topos = args.get("topos", "paper");
   if (topos == "paper") {
     config.topologies = topo::paper_topologies();
@@ -257,6 +261,12 @@ std::optional<harness::ExperimentConfig> config_from(const Args& args,
         config.churn_times.push_back(std::chrono::seconds(*secs));
       }
     }
+    if (config.churn_times.size() > kMaxChurnTimes) {
+      err << "--churn-s takes at most " << kMaxChurnTimes
+          << " times: each one originates its own /24 from one octet of "
+             "the address plan\n";
+      return std::nullopt;
+    }
   }
   if (args.has("seeds")) {
     config.seeds.clear();
@@ -285,116 +295,76 @@ std::optional<harness::ExperimentConfig> config_from(const Args& args,
   return config;
 }
 
-/// Writes executor telemetry to the --stats destination ("inline" is
-/// handled by the caller — it embeds into the report JSON instead) and,
-/// independently, to --stats-out (always a file).
-bool write_stats_file(const Args& args, const harness::ExecReport& exec,
-                      std::ostream& err) {
-  auto write_to = [&](const std::string& path) {
-    std::ofstream file(path);
-    if (!file) {
-      err << "cannot open " << path << "\n";
-      return false;
-    }
-    file << exec.to_json() << "\n";
-    return true;
-  };
-  const std::string stats = args.get("stats", "");
-  if (!stats.empty() && stats != "inline" && !write_to(stats)) return false;
-  const std::string stats_out = args.get("stats-out", "");
-  if (!stats_out.empty() && !write_to(stats_out)) return false;
+/// Writes `text` to `path`; false after reporting that it cannot.
+bool write_file(const std::string& path, const std::string& text,
+                std::ostream& err) {
+  std::ofstream file(path);
+  if (!file) {
+    err << "cannot open " << path << "\n";
+    return false;
+  }
+  file << text;
   return true;
 }
 
-/// Scoped obs/cov session for one command: when --metrics-out or
-/// --trace-out is given, resets the obs registry and enables collection;
-/// when --coverage-out is given, does the same for the coverage map. On
-/// finish() writes the requested files and restores the previous enabled
-/// states (run_cli is re-entrant — tests share one process).
+/// Writes executor telemetry to --stats-out, when given.
+bool write_stats_file(const Args& args, const harness::ExecReport& exec,
+                      std::ostream& err) {
+  const std::string path = args.get("stats-out", "");
+  return path.empty() || write_file(path, exec.to_json() + "\n", err);
+}
+
+/// Scoped wall-clock session for one telemetry command: when --metrics-out
+/// or --trace-out is given, resets the wall registry and turns recording
+/// on, and restores the previous switch on destruction (run_cli is
+/// re-entrant — tests share one process).
 class ObsSession {
  public:
   ObsSession(const Args& args, std::ostream& err)
       : metrics_path_(args.get("metrics-out", "")),
         trace_path_(args.get("trace-out", "")),
-        coverage_path_(args.get("coverage-out", "")),
         err_(err),
-        was_enabled_(obs::enabled()),
-        cov_was_enabled_(cov::enabled()) {
-    if (active()) {
-      obs::Registry::instance().reset();
-      obs::set_enabled(true);
-    }
-    if (cov_active()) {
-      cov::CoverageMap::instance().reset();
-      cov::set_enabled(true);
-    }
+        was_enabled_(obs::enabled()) {
+    if (!active()) return;
+    obs::Registry::instance().reset();
+    obs::set_enabled(true);
+  }
+  ~ObsSession() {
+    if (active()) obs::set_enabled(was_enabled_);
   }
 
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  ~ObsSession() {
-    if (finished_) return;
-    if (active()) obs::set_enabled(was_enabled_);
-    if (cov_active()) cov::set_enabled(cov_was_enabled_);
-  }
-
-  bool active() const {
-    return !metrics_path_.empty() || !trace_path_.empty();
-  }
-  bool cov_active() const { return !coverage_path_.empty(); }
-
-  /// Writes the requested output files and restores the enabled states.
+  /// Writes the requested files from `record` and the wall registry.
   /// Returns false after reporting any I/O failure.
-  bool finish() {
-    if ((!active() && !cov_active()) || finished_) return true;
-    finished_ = true;
+  bool write(const obs::RunRecord& record) const {
     bool ok = true;
-    if (!metrics_path_.empty()) {
-      std::ofstream file(metrics_path_);
-      if (!file) {
-        err_ << "cannot open " << metrics_path_ << "\n";
-        ok = false;
-      } else {
-        file << obs::Registry::instance().metrics_json();
-      }
-    }
+    if (!metrics_path_.empty())
+      ok = write_file(metrics_path_, obs::metrics_json(record), err_);
     if (!trace_path_.empty()) {
-      std::ofstream file(trace_path_);
-      if (!file) {
-        err_ << "cannot open " << trace_path_ << "\n";
-        ok = false;
-      } else {
-        obs::Registry::instance().write_trace_json(file);
-      }
+      std::ostringstream trace;
+      obs::Registry::instance().write_trace_json(trace);
+      ok = write_file(trace_path_, trace.str(), err_) && ok;
     }
-    if (!coverage_path_.empty()) {
-      std::ofstream file(coverage_path_);
-      if (!file) {
-        err_ << "cannot open " << coverage_path_ << "\n";
-        ok = false;
-      } else {
-        file << cov::CoverageMap::instance().coverage_json();
-      }
-    }
-    if (active()) obs::set_enabled(was_enabled_);
-    if (cov_active()) cov::set_enabled(cov_was_enabled_);
     return ok;
   }
 
  private:
+  bool active() const {
+    return !metrics_path_.empty() || !trace_path_.empty();
+  }
+
   std::string metrics_path_;
   std::string trace_path_;
-  std::string coverage_path_;
   std::ostream& err_;
   bool was_enabled_;
-  bool cov_was_enabled_;
-  bool finished_ = false;
 };
 
-int cmd_audit(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_audit(const Args& args, obs::RunRecord* record, std::ostream& out,
+              std::ostream& err) {
   const std::string protocol = args.get("protocol", "ospf");
-  auto config = config_from(args, err);
+  auto config = config_from(args, record, err);
   if (!config) return 2;
 
   if (protocol == "ospf") {
@@ -419,13 +389,7 @@ int cmd_audit(const Args& args, std::ostream& out, std::ostream& err) {
     const auto audit = harness::audit_ospf(impls, *config, *scheme);
     if (!write_stats_file(args, audit.exec, err)) return 2;
     if (args.get("format", "text") == "json") {
-      if (args.get("stats", "") == "inline") {
-        const auto runtime = audit.exec.to_json();
-        out << detect::to_json(audit.named(), audit.discrepancies, &runtime)
-            << "\n";
-      } else {
-        out << detect::to_json(audit.named(), audit.discrepancies) << "\n";
-      }
+      out << detect::to_json(audit.named(), audit.discrepancies) << "\n";
       return 0;
     }
     std::set<std::string> stims, resps;
@@ -470,7 +434,8 @@ int cmd_audit(const Args& args, std::ostream& out, std::ostream& err) {
   return 2;
 }
 
-int cmd_trace(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_trace(const Args& args, obs::RunRecord*, std::ostream& out,
+              std::ostream& err) {
   const auto profile = ospf_profile_by_name(args.get("impl", "frr"));
   if (!profile) {
     err << "unknown implementation\n";
@@ -512,7 +477,8 @@ int cmd_trace(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_mine(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_mine(const Args& args, obs::RunRecord*, std::ostream& out,
+             std::ostream& err) {
   if (!args.has("in")) {
     err << "mine needs --in <trace file>\n";
     return 2;
@@ -540,7 +506,8 @@ int cmd_mine(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_sweep(const Args& args, obs::RunRecord* record, std::ostream& out,
+              std::ostream& err) {
   const auto profile = ospf_profile_by_name(args.get("impl", "frr"));
   if (!profile) {
     err << "unknown implementation\n";
@@ -555,6 +522,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
     config.jobs = static_cast<std::size_t>(*jobs);
   config.keep_bytes = args.has("keep-bytes");
   config.cache_dir = resolve_cache_dir(args);
+  config.record = record;
   const long long max_ms = args.get_int("max-ms").value_or(1500);
   const long long step_ms = std::max<long long>(
       50, args.get_int("step-ms").value_or(150));
@@ -573,13 +541,11 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
          << '\n';
     out << line.str();
   }
-  // Text reports have nowhere to embed telemetry; "inline" goes to err so
-  // the data rows stay machine-readable.
-  if (args.get("stats", "") == "inline") err << exec.to_json() << "\n";
   return 0;
 }
 
-int cmd_inject(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_inject(const Args& args, obs::RunRecord*, std::ostream& out,
+               std::ostream& err) {
   const auto profile = ospf_profile_by_name(args.get("target", ""));
   if (!profile) {
     err << "inject needs --target frr|bird|strict\n";
@@ -605,8 +571,9 @@ int cmd_inject(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_triage(const Args& args, std::ostream& out, std::ostream& err) {
-  auto config = config_from(args, err);
+int cmd_triage(const Args& args, obs::RunRecord* record, std::ostream& out,
+               std::ostream& err) {
+  auto config = config_from(args, record, err);
   if (!config) return 2;
 
   harness::TriageConfig tc;
@@ -641,14 +608,7 @@ int cmd_triage(const Args& args, std::ostream& out, std::ostream& err) {
   if (!write_stats_file(args, result.exec, err)) return 2;
   const std::string report = harness::triage_report_json(result);
   const std::string report_out = args.get("report-out", "");
-  if (!report_out.empty()) {
-    std::ofstream file(report_out);
-    if (!file) {
-      err << "cannot open " << report_out << "\n";
-      return 2;
-    }
-    file << report;
-  }
+  if (!report_out.empty() && !write_file(report_out, report, err)) return 2;
   if (args.get("format", "text") == "json") {
     out << report;
     return 0;
@@ -686,13 +646,14 @@ int cmd_triage(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_stability(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_stability(const Args& args, obs::RunRecord* record,
+                  std::ostream& out, std::ostream& err) {
   const auto profile = ospf_profile_by_name(args.get("impl", "frr"));
   if (!profile) {
     err << "unknown implementation\n";
     return 2;
   }
-  auto config = config_from(args, err);
+  auto config = config_from(args, record, err);
   if (!config) return 2;
   const auto scheme = scheme_by_name(args.get("scheme", "type"));
   if (!scheme) {
@@ -710,56 +671,39 @@ int cmd_stability(const Args& args, std::ostream& out, std::ostream& err) {
         << detect::to_string(cell.direction) << "] (" << cell.total_count
         << ")\n";
   }
-  if (args.get("stats", "") == "inline") err << exec.to_json() << "\n";
   return 0;
 }
 
-int cmd_coverage(const Args& args, std::ostream& out, std::ostream& err) {
-  // Runs the audit pipeline with behavioral-coverage collection enabled
-  // and reports the accumulated map. The audit's own report is discarded
-  // — `nidt audit --coverage-out` keeps both. Everything printed here is
-  // derived from the canonically merged CoverageMap, so the report is
-  // byte-identical for every --jobs value and cache temperature.
-  auto& map = cov::CoverageMap::instance();
-  const bool prior = cov::enabled();
-  if (!prior) {
-    map.reset();
-    cov::set_enabled(true);
-  }
+int cmd_coverage(const Args& args, obs::RunRecord* record,
+                 std::ostream& out, std::ostream& err) {
+  // Runs the audit pipeline and reports what its record saw. The audit's
+  // own report is discarded — `nidt audit --metrics-out` keeps both.
+  // Everything printed here comes from the canonically merged record, so
+  // the report is byte-identical for every --jobs value and cache
+  // temperature.
   std::ostringstream sink;
-  const int rc = cmd_audit(args, sink, err);
-  if (rc != 0) {
-    if (!prior) cov::set_enabled(false);
-    return rc;
-  }
+  const int rc = cmd_audit(args, record, sink, err);
+  if (rc != 0) return rc;
   if (args.get("format", "text") == "json") {
-    out << map.coverage_json();
-  } else {
-    out << "coverage: " << map.features_seen() << "/" << cov::universe_size()
-        << " features over " << map.scenarios() << " scenarios\n";
-    static constexpr struct {
-      cov::FeatureClass cls;
-      const char* name;
-    } kRows[] = {{cov::FeatureClass::kFsmEdge, "fsm"},
-                 {cov::FeatureClass::kPacketPair, "pair"},
-                 {cov::FeatureClass::kPathMarker, "path"},
-                 {cov::FeatureClass::kLsaLifecycle, "lsa"},
-                 {cov::FeatureClass::kChaos, "chaos"}};
-    for (const auto& row : kRows) {
-      out << "  " << row.name << " " << map.class_seen(row.cls) << "/"
-          << cov::universe_size(row.cls) << "\n";
-    }
-    out << "saturation:";
-    for (const auto v : map.curve()) out << ' ' << v;
-    out << "\nfeatures:\n";
-    for (const auto id : map.seen_ids())
-      out << "  " << cov::feature_name(id) << "\n";
+    out << "{\n\"version\":1,\n" << record->cov_json() << "\n}\n";
+    return 0;
   }
-  if (!prior) cov::set_enabled(false);
+  out << "coverage: " << record->seen().size() << "/" << cov::universe_size()
+      << " features over " << record->scenarios() << " scenarios\n";
+  for (const auto& row : cov::kClasses) {
+    out << "  " << row.name << " " << record->class_seen(row.cls) << "/"
+        << cov::universe_size(row.cls) << "\n";
+  }
+  out << "saturation:";
+  for (const auto v : record->curve()) out << ' ' << v;
+  out << "\nfeatures:\n";
+  for (const auto id : record->seen())
+    out << "  " << cov::feature_name(id) << "\n";
   return 0;
 }
 
-int cmd_cache(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_cache(const Args& args, obs::RunRecord*, std::ostream& out,
+              std::ostream& err) {
   const std::string dir = resolve_cache_dir(args);
   if (dir.empty()) {
     err << "cache needs a directory: pass --cache-dir or set "
@@ -840,7 +784,7 @@ enum : unsigned {
 };
 /// The commands config_from configures.
 constexpr unsigned kExperiment = kAudit | kCoverage | kTriage | kStability;
-/// The commands that write telemetry (with_obs and write_stats_file).
+/// The commands that write telemetry (ObsSession and write_stats_file).
 constexpr unsigned kTelemetry = kExperiment | kSweep;
 
 /// Every flag, the commands that read it and, for an integer flag, the
@@ -868,11 +812,9 @@ constexpr struct {
     {"keep-bytes", kTelemetry},
     {"cache-dir", kTelemetry | kCache},
     {"no-cache", kTelemetry | kCache},
-    {"stats", kTelemetry},
     {"stats-out", kTelemetry},
     {"metrics-out", kTelemetry},
     {"trace-out", kTelemetry},
-    {"coverage-out", kTelemetry},
     {"topo", kTrace},
     {"seed", kTrace, 0, std::numeric_limits<long long>::max()},
     {"out", kTrace},
@@ -912,17 +854,6 @@ bool flags_valid(const Args& args, unsigned command, std::ostream& err) {
   return true;
 }
 
-/// Runs an experiment command inside an ObsSession so --metrics-out /
-/// --trace-out capture it. File-write failures fail an otherwise
-/// successful command.
-template <typename Fn>
-int with_obs(const Args& args, std::ostream& err, Fn&& fn) {
-  ObsSession session(args, err);
-  const int rc = fn();
-  if (!session.finish() && rc == 0) return 2;
-  return rc;
-}
-
 }  // namespace
 
 int run_cli(const std::vector<std::string>& tokens, std::ostream& out,
@@ -930,7 +861,7 @@ int run_cli(const std::vector<std::string>& tokens, std::ostream& out,
   static constexpr struct {
     std::string_view name;
     unsigned bit;
-    int (*run)(const Args&, std::ostream&, std::ostream&);
+    int (*run)(const Args&, obs::RunRecord*, std::ostream&, std::ostream&);
   } kCommands[] = {
       {"audit", kAudit, cmd_audit},         {"trace", kTrace, cmd_trace},
       {"mine", kMine, cmd_mine},            {"sweep", kSweep, cmd_sweep},
@@ -949,9 +880,17 @@ int run_cli(const std::vector<std::string>& tokens, std::ostream& out,
     return 2;
   }
   if (!flags_valid(*args, cmd->bit, err)) return 2;
-  if (cmd->bit & kTelemetry)
-    return with_obs(*args, err, [&] { return cmd->run(*args, out, err); });
-  return cmd->run(*args, out, err);
+  if ((cmd->bit & kTelemetry) == 0) return cmd->run(*args, nullptr, out, err);
+
+  // One record per telemetry command, attached only when something reads
+  // it: --metrics-out, or the coverage report itself.
+  obs::RunRecord record;
+  const bool recorded = args->has("metrics-out") || cmd->bit == kCoverage;
+  const ObsSession session(*args, err);
+  const int rc = cmd->run(*args, recorded ? &record : nullptr, out, err);
+  // A file-write failure fails an otherwise successful command.
+  if (!session.write(record) && rc == 0) return 2;
+  return rc;
 }
 
 }  // namespace nidkit::cli

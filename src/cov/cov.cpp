@@ -1,7 +1,6 @@
 #include "cov/cov.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace nidkit::cov {
 
@@ -88,21 +87,7 @@ bool valid_proto(unsigned p) {
   return p >= 1 && p <= static_cast<unsigned>(Proto::kBgp);
 }
 
-struct ClassRow {
-  FeatureClass cls;
-  const char* key;  ///< short name in the "classes" JSON object
-};
-constexpr ClassRow kClassRows[] = {
-    {FeatureClass::kFsmEdge, "fsm"},   {FeatureClass::kPacketPair, "pair"},
-    {FeatureClass::kPathMarker, "path"}, {FeatureClass::kLsaLifecycle, "lsa"},
-    {FeatureClass::kChaos, "chaos"},
-};
-
 }  // namespace
-
-void set_enabled(bool on) {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-}
 
 unsigned fsm_state_count(Proto p) {
   switch (p) {
@@ -223,114 +208,13 @@ std::uint64_t universe_size(FeatureClass cls) {
 
 std::uint64_t universe_size() {
   std::uint64_t total = 0;
-  for (const auto& row : kClassRows) total += universe_size(row.cls);
+  for (const auto& row : kClasses) total += universe_size(row.cls);
   return total;
 }
 
 void CoverageVector::finalize() {
   std::sort(ids_.begin(), ids_.end());
   ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
-}
-
-CoverageMap& CoverageMap::instance() {
-  static CoverageMap map;
-  return map;
-}
-
-void CoverageMap::reset() {
-  std::lock_guard lock(mutex_);
-  seen_.clear();
-  curve_.clear();
-  novelty_.clear();
-}
-
-std::uint64_t CoverageMap::merge_scenario(const CoverageVector& delta) {
-  std::lock_guard lock(mutex_);
-  std::uint64_t novel = 0;
-  for (const FeatureId id : delta.ids()) {
-    const auto it = std::lower_bound(seen_.begin(), seen_.end(), id);
-    if (it == seen_.end() || *it != id) {
-      seen_.insert(it, id);
-      ++novel;
-    }
-  }
-  curve_.push_back(seen_.size());
-  novelty_.push_back(novel);
-  return novel;
-}
-
-std::uint64_t CoverageMap::scenarios() const {
-  std::lock_guard lock(mutex_);
-  return curve_.size();
-}
-
-std::uint64_t CoverageMap::features_seen() const {
-  std::lock_guard lock(mutex_);
-  return seen_.size();
-}
-
-std::uint64_t CoverageMap::class_seen(FeatureClass cls) const {
-  std::lock_guard lock(mutex_);
-  std::uint64_t count = 0;
-  for (const FeatureId id : seen_) count += feature_class(id) == cls ? 1 : 0;
-  return count;
-}
-
-std::vector<FeatureId> CoverageMap::seen_ids() const {
-  std::lock_guard lock(mutex_);
-  return seen_;
-}
-
-std::vector<std::uint64_t> CoverageMap::curve() const {
-  std::lock_guard lock(mutex_);
-  return curve_;
-}
-
-std::vector<std::uint64_t> CoverageMap::novelty() const {
-  std::lock_guard lock(mutex_);
-  return novelty_;
-}
-
-std::string CoverageMap::cov_json() const {
-  std::lock_guard lock(mutex_);
-  std::ostringstream os;
-  os << "\"cov\":{\"scenarios\":" << curve_.size()
-     << ",\"features_seen\":" << seen_.size()
-     << ",\"universe\":" << universe_size() << ",\"classes\":{";
-  bool first = true;
-  for (const auto& row : kClassRows) {
-    std::uint64_t count = 0;
-    for (const FeatureId id : seen_) count += feature_class(id) == row.cls;
-    if (!first) os << ',';
-    first = false;
-    os << '"' << row.key << "\":{\"seen\":" << count
-       << ",\"universe\":" << universe_size(row.cls) << '}';
-  }
-  os << "},\"novelty\":[";
-  for (std::size_t i = 0; i < novelty_.size(); ++i) {
-    if (i) os << ',';
-    os << novelty_[i];
-  }
-  os << "],\"curve\":[";
-  for (std::size_t i = 0; i < curve_.size(); ++i) {
-    if (i) os << ',';
-    os << curve_[i];
-  }
-  os << "],\"features\":[";
-  // seen_ is sorted by id; feature names are emitted in that stable order.
-  for (std::size_t i = 0; i < seen_.size(); ++i) {
-    if (i) os << ',';
-    os << '"' << feature_name(seen_[i]) << '"';
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::string CoverageMap::coverage_json() const {
-  std::string out = "{\n\"version\":1,\n";
-  out += cov_json();
-  out += "\n}\n";
-  return out;
 }
 
 }  // namespace nidkit::cov

@@ -1,50 +1,34 @@
-// Deterministic behavioral coverage subsystem (nidkit::cov).
+// Deterministic behavioral coverage vocabulary (nidkit::cov).
 //
 // A scenario run does not just produce mined relations and metrics — it
 // *exercises* a set of behaviors: neighbor/session FSM transition edges,
 // stimulus→response packet-kind pairs, retransmission and DR-election
 // paths, LSA lifecycle events, chaos-event classes. Each such behavior is
 // a FeatureId; the set a scenario exercised is its CoverageVector. The
-// fan-out layer merges vectors into the global CoverageMap in canonical
-// scenario-index order (the same discipline as obs::Registry and
-// RelationSet merges), so the accumulated map — including per-scenario
-// novelty scores and the saturation curve — is bit-identical across
-// --jobs 1/8 and cache cold/warm. Cached entries carry their vector and
-// replay it on hits instead of re-simulating.
+// fan-out layer folds vectors into the run's obs::RunRecord in canonical
+// scenario-index order (the same discipline as its metric counters and
+// RelationSet merges), so the accumulated seen set, per-scenario novelty
+// scores and saturation curve are bit-identical across --jobs 1/8 and
+// cache cold/warm. Cached entries carry their vector and replay it on
+// hits instead of re-simulating.
 //
-// Cost model mirrors obs: collection is always on — the hooks are plain
-// integer ORs at existing stat-bump choke points plus one end-of-run pass,
-// nothing per-event — so cache entries never depend on a reporting flag.
-// enabled() (one relaxed atomic load) gates only the global map merge and
-// report emission; the disabled path stays within the one-relaxed-atomic-
-// per-hook budget obs established, bench-gated at ≤2% overhead.
+// Cost model: collection is always on — the hooks are plain integer ORs
+// at existing stat-bump choke points plus one end-of-run pass, nothing
+// per-event — so cache entries never depend on a reporting flag, and a
+// run without a record simply folds nothing.
 //
-// Layering: cov sits beside obs, below the protocol engines. The feature
+// Layering: cov sits below obs and the protocol engines. The feature
 // universe (state counts, packet-kind counts) is therefore declared here
 // as plain constants; the hook-coverage guard test links everything and
 // asserts these tables match the real enums, so a new FSM state cannot
 // silently fall outside the declared universe.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace nidkit::cov {
-
-namespace detail {
-inline std::atomic<bool> g_enabled{false};
-}  // namespace detail
-
-/// Global coverage-reporting switch. Off by default; the CLI flips it on
-/// for `nidt coverage` / --coverage-out runs. Collection into per-scenario
-/// vectors is unconditional — this only gates the global map merge.
-inline bool enabled() {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
-void set_enabled(bool on);
 
 /// A behavioral feature: top byte = class, low 24 bits = class-specific
 /// payload. Stable across runs and builds — FeatureIds are cached.
@@ -56,6 +40,16 @@ enum class FeatureClass : std::uint8_t {
   kPathMarker = 3,    ///< proto<<16 | marker id
   kLsaLifecycle = 4,  ///< lifecycle event id
   kChaos = 5,         ///< chaos-event class id
+};
+
+/// Every feature class with its short report name, in report order.
+inline constexpr struct {
+  FeatureClass cls;
+  const char* name;
+} kClasses[] = {
+    {FeatureClass::kFsmEdge, "fsm"},      {FeatureClass::kPacketPair, "pair"},
+    {FeatureClass::kPathMarker, "path"},  {FeatureClass::kLsaLifecycle, "lsa"},
+    {FeatureClass::kChaos, "chaos"},
 };
 
 enum class Proto : std::uint8_t { kOspf = 1, kRip = 2, kBgp = 3 };
@@ -196,56 +190,6 @@ class CoverageVector {
 
  private:
   std::vector<FeatureId> ids_;
-};
-
-/// The process-wide accumulated coverage map. Mirrors obs::Registry's
-/// determinism contract: merge_scenario MUST be called in canonical
-/// scenario-index order from a single thread (the fan-out merge loop), so
-/// the seen set, per-scenario novelty scores and the saturation curve are
-/// bit-identical for any worker count and cache temperature.
-class CoverageMap {
- public:
-  static CoverageMap& instance();
-
-  CoverageMap(const CoverageMap&) = delete;
-  CoverageMap& operator=(const CoverageMap&) = delete;
-
-  /// Drops all accumulated coverage. The enabled flag is left untouched.
-  void reset();
-
-  /// Folds one scenario's vector in and returns its novelty score: the
-  /// number of features this scenario contributed that no earlier merge
-  /// had seen. Canonical order, single thread — never from workers.
-  std::uint64_t merge_scenario(const CoverageVector& delta);
-
-  std::uint64_t scenarios() const;
-  std::uint64_t features_seen() const;
-  std::uint64_t class_seen(FeatureClass cls) const;
-  /// All features seen so far, sorted.
-  std::vector<FeatureId> seen_ids() const;
-  /// Cumulative unique-feature count after each merge (the saturation
-  /// curve: curve()[i] = features seen after scenario i).
-  std::vector<std::uint64_t> curve() const;
-  /// Per-scenario novelty scores, in merge (= canonical) order.
-  std::vector<std::uint64_t> novelty() const;
-
-  /// The deterministic snapshot section — the single line `"cov":{...}`
-  /// (no embedded newline, matching the "sim" section convention so CI
-  /// can grep '"cov":' | cmp across jobs/cache laps).
-  std::string cov_json() const;
-
-  /// The full --coverage-out document. Line-structured JSON:
-  ///   {\n"version":1,\n"cov":{...}\n}\n
-  /// with the "cov" object on exactly one line.
-  std::string coverage_json() const;
-
- private:
-  CoverageMap() = default;
-
-  mutable std::mutex mutex_;
-  std::vector<FeatureId> seen_;  ///< sorted unique
-  std::vector<std::uint64_t> curve_;
-  std::vector<std::uint64_t> novelty_;
 };
 
 }  // namespace nidkit::cov

@@ -41,8 +41,7 @@ void emit_cell(std::ostringstream& os, mining::RelationDirection dir,
 }  // namespace
 
 std::string to_json(const std::vector<NamedRelations>& impls,
-                    const std::vector<Discrepancy>& discrepancies,
-                    const std::string* runtime_json) {
+                    const std::vector<Discrepancy>& discrepancies) {
   std::ostringstream os;
   os << "{\"implementations\":[";
   for (std::size_t i = 0; i < impls.size(); ++i) {
@@ -76,9 +75,7 @@ std::string to_json(const std::vector<NamedRelations>& impls,
        << "\",\"count\":" << d.evidence.count
        << ",\"first_seen_us\":" << d.evidence.first_seen.count() << "}";
   }
-  os << "]";
-  if (runtime_json) os << ",\"runtime\":" << *runtime_json;
-  os << "}";
+  os << "]}";
   return os.str();
 }
 

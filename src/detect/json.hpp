@@ -17,14 +17,10 @@ std::string json_escape(const std::string& text);
 /// count,first_seen_us},...]}, "discrepancies":[{dir,stimulus,response,
 /// present_in,absent_in,count,first_seen_us},...]}
 ///
-/// The default report is fully deterministic: identical inputs produce
-/// identical bytes regardless of how many workers mined them. When
-/// `runtime_json` is non-null it is embedded verbatim as a trailing
-/// "runtime" member — that section carries wall-clock telemetry (see
-/// harness::ExecReport::to_json) and is, by nature, not reproducible
-/// across runs; callers opt into it explicitly (cli `--stats inline`).
+/// The report is fully deterministic: identical inputs produce identical
+/// bytes regardless of how many workers mined them. Wall-clock telemetry
+/// never enters it (cli `--stats-out` writes that to its own file).
 std::string to_json(const std::vector<NamedRelations>& impls,
-                    const std::vector<Discrepancy>& discrepancies,
-                    const std::string* runtime_json = nullptr);
+                    const std::vector<Discrepancy>& discrepancies);
 
 }  // namespace nidkit::detect

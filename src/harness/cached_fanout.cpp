@@ -3,43 +3,20 @@
 #include <map>
 #include <utility>
 
-#include "cov/cov.hpp"
 #include "obs/obs.hpp"
 
 namespace nidkit::harness {
 
 namespace {
 
-/// Folds every entry's deterministic metric delta into the global registry,
+/// Folds every entry's metric delta and coverage vector into the record,
 /// in canonical job order and on the calling thread — the same discipline
-/// RelationSet merges follow, so the aggregate is bit-identical for any
+/// RelationSet merges follow, so the record is bit-identical for any
 /// --jobs value and any cache temperature.
-void merge_metrics(const std::vector<cache::Entry>& results) {
-  if (!obs::enabled()) return;
-  auto& reg = obs::Registry::instance();
-  for (const auto& entry : results) reg.merge_scenario(entry.metrics);
-}
-
-/// Same canonical-order discipline for behavioral coverage: every entry's
-/// vector — fresh or replayed from the cache — folds into the global
-/// CoverageMap on the calling thread, so the seen set, novelty scores and
-/// saturation curve are bit-identical for any --jobs value and any cache
-/// temperature.
-void merge_coverage(const std::vector<cache::Entry>& results,
-                    ExecReport* exec) {
-  if (!cov::enabled()) return;
-  auto& map = cov::CoverageMap::instance();
-  std::uint64_t features = 0;
-  std::uint64_t novel = 0;
-  for (const auto& entry : results) {
-    features += entry.coverage.ids().size();
-    novel += map.merge_scenario(entry.coverage);
-  }
-  if (exec) {
-    exec->cov_enabled = true;
-    exec->cov_features += features;
-    exec->cov_novel += novel;
-  }
+void fold(const std::vector<cache::Entry>& results, obs::RunRecord* record) {
+  if (record == nullptr) return;
+  for (const auto& entry : results)
+    record->merge_scenario(entry.metrics, entry.coverage);
 }
 
 }  // namespace
@@ -61,7 +38,7 @@ std::vector<cache::Entry> run_cached(
     const std::vector<CachedJob>& jobs, std::size_t workers,
     cache::Store* store, cache::PayloadKind kind, std::string_view scheme_id,
     const std::function<cache::Entry(const CachedJob&)>& compute,
-    ExecReport* exec) {
+    ExecReport* exec, obs::RunRecord* record) {
   if (store == nullptr) {
     ParallelExecutor executor(workers);
     std::vector<std::string> labels;
@@ -70,8 +47,7 @@ std::vector<cache::Entry> run_cached(
     auto results = executor.run_indexed(
         jobs.size(), labels, [&](std::size_t i) { return compute(jobs[i]); });
     if (exec) exec->accumulate(executor.report());
-    merge_metrics(results);
-    merge_coverage(results, exec);
+    fold(results, record);
     return results;
   }
 
@@ -104,11 +80,6 @@ std::vector<cache::Entry> run_cached(
   {
     obs::Span lookup("cache-lookup", "batch");
     batch = store->get_batch(owner_keys);
-  }
-  if (obs::enabled()) {
-    auto& reg = obs::Registry::instance();
-    reg.observe_wall("cache.pack_hits", batch.pack_hits);
-    reg.observe_wall("cache.misses", batch.misses);
   }
 
   std::vector<std::size_t> to_run;
@@ -158,9 +129,37 @@ std::vector<cache::Entry> run_cached(
     delta.cache_stores = to_run.size();
     exec->accumulate(delta);
   }
-  merge_metrics(results);
-  merge_coverage(results, exec);
+  fold(results, record);
   return results;
+}
+
+std::vector<cache::Entry> simulate_and_mine(const std::vector<CachedJob>& jobs,
+                                            const ExperimentConfig& config,
+                                            const mining::KeyScheme& scheme,
+                                            cache::Store* store,
+                                            ExecReport* exec) {
+  return run_cached(
+      jobs, config.jobs, store, cache::PayloadKind::kMinedRelations,
+      scheme.name,
+      [&](const CachedJob& job) {
+        obs::Span scenario_span("scenario", job.label);
+        cache::Entry entry;
+        entry.kind = cache::PayloadKind::kMinedRelations;
+        obs::Span sim_span("simulate", job.label);
+        const ScenarioResult run = run_scenario(job.scenario);
+        entry.summary = summarize(run);
+        entry.metrics = run.metrics;
+        entry.coverage = run.coverage;
+        sim_span.finish();
+        obs::Span mine_span("mine", job.label);
+        entry.relations = mining::CausalMiner(job.miner).mine(run.log, scheme);
+        return entry;
+      },
+      exec, config.record);
+}
+
+std::unique_ptr<cache::Store> open_store(const std::string& dir) {
+  return dir.empty() ? nullptr : std::make_unique<cache::Store>(dir);
 }
 
 }  // namespace nidkit::harness

@@ -15,16 +15,20 @@
 //      see cache::Store), and returns all results in canonical job order.
 //
 // With no store configured it degenerates to the plain executor fan-out.
-// Hit/miss/dedup/store counts accumulate into the ExecReport, so --stats
-// exposes cache effectiveness without perturbing report determinism.
+// Hit/miss/dedup/store counts accumulate into the ExecReport, so
+// --stats-out exposes cache effectiveness without perturbing report
+// determinism. Every result — computed or replayed — then folds into the
+// run's obs::RunRecord, when one is attached, in canonical job order.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "cache/store.hpp"
+#include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
 #include "harness/scenario.hpp"
 
@@ -41,12 +45,26 @@ struct CachedJob {
 
 /// Runs every job (or fetches it), returning entries in canonical job
 /// order. `compute` must be a pure function of the job — it runs on worker
-/// threads for misses only. `store` may be null (caching disabled).
+/// threads for misses only. `store` may be null (caching disabled), and so
+/// may `record` (nothing folded).
 std::vector<cache::Entry> run_cached(
     const std::vector<CachedJob>& jobs, std::size_t workers,
     cache::Store* store, cache::PayloadKind kind, std::string_view scheme_id,
     const std::function<cache::Entry(const CachedJob&)>& compute,
-    ExecReport* exec);
+    ExecReport* exec, obs::RunRecord* record);
+
+/// The one simulate-and-mine path: run_cached over `jobs` with
+/// config.jobs workers into config.record, each miss simulated and mined
+/// under `scheme` with the job's own miner (spans scenario ⊃ simulate,
+/// mine). Entries come back in canonical job order.
+std::vector<cache::Entry> simulate_and_mine(const std::vector<CachedJob>& jobs,
+                                            const ExperimentConfig& config,
+                                            const mining::KeyScheme& scheme,
+                                            cache::Store* store,
+                                            ExecReport* exec);
+
+/// The store on `dir`, or null when `dir` is empty (caching off).
+std::unique_ptr<cache::Store> open_store(const std::string& dir);
 
 /// Snapshot of a finished run's health statistics for the cached entry.
 cache::ScenarioSummary summarize(const ScenarioResult& run);

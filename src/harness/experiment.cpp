@@ -1,6 +1,5 @@
 #include "harness/experiment.hpp"
 
-#include <optional>
 #include <utility>
 
 #include "harness/cached_fanout.hpp"
@@ -12,10 +11,10 @@ namespace nidkit::harness {
 // added a field to ExperimentConfig: either copy it into the Scenario in
 // scenario_for (and extend Config.ScenarioForCopiesExperimentKnobs), or —
 // for executor-level knobs that do not describe a single scenario, like
-// `jobs` and `cache_dir` — document the exemption there. Then update the
-// expected size.
+// `jobs`, `cache_dir` and `record` — document the exemption there. Then
+// update the expected size.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(ExperimentConfig) == 176,
+static_assert(sizeof(ExperimentConfig) == 184,
               "ExperimentConfig grew: thread the new knob through "
               "scenario_for (or exempt it) and update this guard");
 #endif
@@ -35,44 +34,13 @@ std::string job_label(const std::string& impl, const topo::Spec& spec,
 std::vector<mining::RelationSet> mine_jobs(const std::vector<CachedJob>& jobs,
                                            const ExperimentConfig& config,
                                            const mining::KeyScheme& scheme,
-                                           ExecReport* exec,
-                                           cache::Store* store) {
-  const mining::CausalMiner miner(config.miner_config());
-  auto entries = run_cached(
-      jobs, config.jobs, store, cache::PayloadKind::kMinedRelations,
-      scheme.name,
-      [&](const CachedJob& job) {
-        obs::Span scenario_span("scenario", job.label);
-        cache::Entry entry;
-        entry.kind = cache::PayloadKind::kMinedRelations;
-        {
-          obs::Span span("simulate", job.label);
-          const ScenarioResult run = run_scenario(job.scenario);
-          entry.summary = summarize(run);
-          entry.metrics = run.metrics;
-          entry.coverage = run.coverage;
-          span.finish();
-          obs::Span mine_span("mine", job.label);
-          entry.relations = miner.mine(run.log, scheme);
-        }
-        return entry;
-      },
-      exec);
+                                           ExecReport* exec) {
+  const auto store = open_store(config.cache_dir);
+  auto entries = simulate_and_mine(jobs, config, scheme, store.get(), exec);
   std::vector<mining::RelationSet> sets;
   sets.reserve(entries.size());
   for (auto& e : entries) sets.push_back(std::move(e.relations));
   return sets;
-}
-
-std::vector<mining::RelationSet> mine_jobs(const std::vector<CachedJob>& jobs,
-                                           const ExperimentConfig& config,
-                                           const mining::KeyScheme& scheme,
-                                           ExecReport* exec) {
-  // Store is neither movable nor copyable (it owns a mutex), so it is
-  // built in place when a cache directory is configured.
-  std::optional<cache::Store> store;
-  if (!config.cache_dir.empty()) store.emplace(config.cache_dir);
-  return mine_jobs(jobs, config, scheme, exec, store ? &*store : nullptr);
 }
 
 /// (topology × seed) job list for one implementation, in the serial
@@ -230,15 +198,14 @@ std::vector<SweepPoint> tdelay_sweep(const ospf::BehaviorProfile& profile,
     }
   }
 
-  std::optional<cache::Store> store;
-  if (!base.cache_dir.empty()) store.emplace(base.cache_dir);
+  const auto store = open_store(base.cache_dir);
   // Per-scenario integer partials (cache::SweepStats); accumulated per
   // sweep point in canonical order, so integer totals (and the ratios
   // derived from them) match the serial nest bit-for-bit whether each
   // partial was computed or replayed from the cache.
   auto entries = run_cached(
-      jobs, base.jobs, store ? &*store : nullptr,
-      cache::PayloadKind::kSweepStats, scheme.name,
+      jobs, base.jobs, store.get(), cache::PayloadKind::kSweepStats,
+      scheme.name,
       [&](const CachedJob& job) {
         obs::Span scenario_span("scenario", job.label);
         const mining::CausalMiner miner(job.miner);
@@ -264,7 +231,7 @@ std::vector<SweepPoint> tdelay_sweep(const ospf::BehaviorProfile& profile,
         entry.sweep.spurious_cells = cells.spurious;
         return entry;
       },
-      exec);
+      exec, base.record);
 
   const std::size_t per_point = base.topologies.size() * base.seeds.size();
   std::vector<SweepPoint> out;

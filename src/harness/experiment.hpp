@@ -18,6 +18,10 @@
 #include "harness/scenario.hpp"
 #include "mining/miner.hpp"
 
+namespace nidkit::obs {
+class RunRecord;
+}  // namespace nidkit::obs
+
 namespace nidkit::harness {
 
 struct ExperimentConfig {
@@ -55,6 +59,11 @@ struct ExperimentConfig {
   /// cannot change what a scenario computes (content-addressed keys cover
   /// every knob that can), only whether it is recomputed.
   std::string cache_dir;
+  /// Where the run folds every scenario's metrics and coverage (see
+  /// obs::RunRecord), in canonical job order. Null — the default — folds
+  /// nothing. Executor-level like `jobs`, exempt from the scenario_for
+  /// copy-through: recording cannot change what a scenario computes.
+  obs::RunRecord* record = nullptr;
 
   mining::MinerConfig miner_config() const {
     mining::MinerConfig m;
@@ -115,8 +124,8 @@ struct AuditResult {
   std::map<std::string, mining::RelationSet> by_impl;
   std::vector<detect::Discrepancy> discrepancies;
   /// Execution telemetry (worker count, per-scenario wall times, queue
-  /// depth). Nondeterministic by nature — kept out of the report JSON
-  /// unless explicitly requested (see cli --stats).
+  /// depth). Nondeterministic by nature — kept out of the report JSON;
+  /// cli --stats-out writes it to its own file.
   ExecReport exec;
 
   std::vector<detect::NamedRelations> named() const;

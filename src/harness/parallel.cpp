@@ -18,9 +18,6 @@ void ExecReport::accumulate(const ExecReport& other) {
   cache_misses += other.cache_misses;
   cache_dedup += other.cache_dedup;
   cache_stores += other.cache_stores;
-  cov_enabled = cov_enabled || other.cov_enabled;
-  cov_features += other.cov_features;
-  cov_novel += other.cov_novel;
   const std::size_t base = tasks.size();
   tasks.insert(tasks.end(), other.tasks.begin(), other.tasks.end());
   for (std::size_t i = base; i < tasks.size(); ++i) tasks[i].index = i;
@@ -36,12 +33,6 @@ std::string ExecReport::to_json() const {
        << ",\"in_flight_dedup\":" << cache_dedup << ",\"stores\":"
        << cache_stores << "}";
   }
-  if (cov_enabled) {
-    os << ",\"coverage\":{\"scenario_features\":" << cov_features
-       << ",\"novel\":" << cov_novel << "}";
-  }
-  if (obs::enabled())
-    os << ",\"metrics\":" << obs::Registry::instance().headline_json();
   os << ",\"scenarios\":[";
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     if (i) os << ",";

@@ -60,15 +60,6 @@ struct ExecReport {
   std::uint64_t cache_dedup = 0;
   std::uint64_t cache_stores = 0;  ///< entries written to the store
 
-  // Behavioral-coverage telemetry (cov subsystem). cov_enabled flips when
-  // a fan-out merged into the global CoverageMap; the counters sum over
-  // scenarios in canonical order, so they are deterministic.
-  bool cov_enabled = false;
-  /// Total features carried by the merged scenarios (with multiplicity).
-  std::uint64_t cov_features = 0;
-  /// Features that were globally unseen when their scenario merged.
-  std::uint64_t cov_novel = 0;
-
   /// Folds another fan-out's telemetry into this one (tasks append with
   /// re-based indices; wall times add; depth takes the max).
   void accumulate(const ExecReport& other);
@@ -76,10 +67,9 @@ struct ExecReport {
   /// {"jobs":N,"max_queue_depth":...,"tasks_run":...,"wall_ms":...,
   ///  "cache":{"hits":...,"pack_hits":...,"misses":...,
   ///           "in_flight_dedup":...,"stores":...},
-  ///  "coverage":{"scenario_features":...,"novel":...},
   ///  "scenarios":[{"index":i,"label":"...","wall_ms":...},...]}
-  /// The cache object appears only when cache_enabled; a "metrics"
-  /// headline object is appended when the obs registry is live.
+  /// The cache object appears only when cache_enabled. This is the
+  /// --stats-out file; what the run simulated is in the obs::RunRecord.
   std::string to_json() const;
 };
 

@@ -97,12 +97,12 @@ struct ScenarioResult {
   bgp::BgpRouter::Stats bgp_totals;
   /// Deterministic per-scenario metric deltas (simulated-time domain).
   /// Always collected — it is cheap, end-of-run bookkeeping — so cached
-  /// results can replay their metrics on a warm run. Merged into the
-  /// global obs::Registry in canonical job order by the fan-out layer.
+  /// results can replay their metrics on a warm run. Folded into the
+  /// run's obs::RunRecord in canonical job order by the fan-out layer.
   obs::ScenarioMetrics metrics;
   /// Canonical behavioral-coverage feature set. Like `metrics`, always
-  /// collected (cache entries never depend on reporting flags) and merged
-  /// into the global cov::CoverageMap in canonical job order.
+  /// collected (cache entries never depend on reporting flags) and folded
+  /// into the same record.
   cov::CoverageVector coverage;
 };
 

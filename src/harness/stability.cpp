@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 
 #include "harness/cached_fanout.hpp"
-#include "obs/obs.hpp"
 
 namespace nidkit::harness {
 
@@ -20,8 +18,6 @@ namespace {
 std::vector<mining::RelationSet> mine_per_seed(
     const ospf::BehaviorProfile& profile, const ExperimentConfig& config,
     const mining::KeyScheme& scheme, ExecReport* exec) {
-  const mining::CausalMiner miner(config.miner_config());
-
   std::vector<CachedJob> jobs;
   for (const auto seed : config.seeds) {
     for (const auto& spec : config.topologies) {
@@ -34,28 +30,9 @@ std::vector<mining::RelationSet> mine_per_seed(
     }
   }
 
-  std::optional<cache::Store> store;
-  if (!config.cache_dir.empty()) store.emplace(config.cache_dir);
-  auto entries = run_cached(
-      jobs, config.jobs, store ? &*store : nullptr,
-      cache::PayloadKind::kMinedRelations, scheme.name,
-      [&](const CachedJob& job) {
-        obs::Span scenario_span("scenario", job.label);
-        cache::Entry entry;
-        entry.kind = cache::PayloadKind::kMinedRelations;
-        {
-          obs::Span span("simulate", job.label);
-          const ScenarioResult run = run_scenario(job.scenario);
-          entry.summary = summarize(run);
-          entry.metrics = run.metrics;
-          entry.coverage = run.coverage;
-          span.finish();
-          obs::Span mine_span("mine", job.label);
-          entry.relations = miner.mine(run.log, scheme);
-        }
-        return entry;
-      },
-      exec);
+  const auto store = open_store(config.cache_dir);
+  const auto entries =
+      simulate_and_mine(jobs, config, scheme, store.get(), exec);
 
   std::vector<mining::RelationSet> per_seed(config.seeds.size());
   std::size_t next = 0;

@@ -32,7 +32,7 @@ struct CellStability {
 /// Mines each seed of `config` separately (union over topologies within a
 /// seed) and reports per-cell seed coverage, most stable first. When
 /// `exec` is non-null, executor and result-cache telemetry accumulate
-/// into it (the CLI's --stats path).
+/// into it (what the CLI's --stats-out writes).
 std::vector<CellStability> ospf_relation_stability(
     const ospf::BehaviorProfile& profile, const ExperimentConfig& config,
     const mining::KeyScheme& scheme, ExecReport* exec = nullptr);

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <utility>
 
-#include "cache/store.hpp"
 #include "detect/json.hpp"
 #include "harness/cached_fanout.hpp"
-#include "mining/miner.hpp"
 #include "obs/obs.hpp"
 
 namespace nidkit::harness {
@@ -130,9 +127,7 @@ TriageResult triage_ospf(const std::vector<ospf::BehaviorProfile>& profiles,
   // Reproduction probes flow through the same cache the audit used: same
   // payload kind, same scheme id, and — for unshrunk candidates — the very
   // keys the audit just stored, so the find phase is usually all hits.
-  std::optional<cache::Store> store;
-  if (!config.experiment.cache_dir.empty())
-    store.emplace(config.experiment.cache_dir);
+  const auto store = open_store(config.experiment.cache_dir);
 
   // One probe = one candidate scenario run under *both* implementations of
   // a discrepancy and mined; the verdict is "cell present in the
@@ -156,25 +151,8 @@ TriageResult triage_ospf(const std::vector<ospf::BehaviorProfile>& profiles,
         jobs.push_back(CachedJob{std::move(s), std::move(label), miner});
       }
     }
-    auto entries = run_cached(
-        jobs, config.experiment.jobs, store ? &*store : nullptr,
-        cache::PayloadKind::kMinedRelations, config.scheme.name,
-        [&](const CachedJob& job) {
-          obs::Span scenario_span("scenario", job.label);
-          cache::Entry entry;
-          entry.kind = cache::PayloadKind::kMinedRelations;
-          obs::Span sim_span("simulate", job.label);
-          const ScenarioResult run = run_scenario(job.scenario);
-          entry.summary = summarize(run);
-          entry.metrics = run.metrics;
-          entry.coverage = run.coverage;
-          sim_span.finish();
-          obs::Span mine_span("mine", job.label);
-          entry.relations =
-              mining::CausalMiner(job.miner).mine(run.log, config.scheme);
-          return entry;
-        },
-        &result.exec);
+    const auto entries = simulate_and_mine(
+        jobs, config.experiment, config.scheme, store.get(), &result.exec);
     std::vector<bool> verdicts;
     verdicts.reserve(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i)
@@ -289,20 +267,15 @@ TriageResult triage_ospf(const std::vector<ospf::BehaviorProfile>& profiles,
   for (std::size_t i = 0; i < result.incidents.size(); ++i)
     result.incidents[i].rank = i + 1;
 
-  if (obs::enabled()) {
-    // Probe counts are pure functions of (profiles, config) — sim-domain.
-    // Cache hits depend on cache temperature, so they go to the wall
-    // section, which determinism comparisons strip.
+  if (obs::RunRecord* record = config.experiment.record) {
+    // Probe counts are pure functions of (profiles, config), so they join
+    // the record's sim counters (and add no coverage point).
     std::size_t confirmed = 0;
     for (const auto& inc : result.incidents)
       confirmed += inc.confirmation == Confirmation::kConfirmed ? 1 : 0;
-    obs::ScenarioMetrics m;
-    m.set("triage.probes", result.total_probes);
-    m.set("triage.incidents", result.incidents.size());
-    m.set("triage.confirmed", confirmed);
-    obs::Registry::instance().merge_scenario(m);
-    obs::Registry::instance().observe_wall("triage.cache_hits",
-                                           result.exec.cache_hits);
+    record->add("triage.probes", result.total_probes);
+    record->add("triage.incidents", result.incidents.size());
+    record->add("triage.confirmed", confirmed);
   }
   return result;
 }

@@ -3,20 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <sstream>
 
 namespace nidkit::obs {
 
 namespace {
-
-/// Fixed decade buckets shared by every histogram: 1, 10, ... 1e9, plus
-/// the implicit overflow bucket. Fixed (never derived from data) so two
-/// runs can never disagree on bucket layout.
-const std::vector<std::uint64_t>& decade_bounds() {
-  static const std::vector<std::uint64_t> bounds = {
-      1,         10,         100,         1'000,         10'000,
-      100'000,   1'000'000,  10'000'000,  100'000'000,   1'000'000'000};
-  return bounds;
-}
 
 /// Minimal JSON string escaping (labels are plain ASCII identifiers, but
 /// never trust an input). Local on purpose: obs sits below detect in the
@@ -63,6 +54,40 @@ struct ThreadHot {
 Registry::HotBlock& hot_block() {
   thread_local ThreadHot t;
   return t.block;
+}
+
+/// `"<domain>":{"counters":{...},"histograms":{...}` — the caller closes
+/// the object (the wall section appends its span count first).
+void append_section(std::string& out, const char* domain,
+                    const Counters& counters, const Histograms& histograms) {
+  out += '"';
+  out += domain;
+  out += "\":{\"counters\":{";
+  bool first = true;
+  for (const auto& [name, value] : counters) {
+    if (!first) out += ',';
+    first = false;
+    out += '"' + json_escape(name) + "\":" + std::to_string(value);
+  }
+  out += "},\"histograms\":{";
+  first = true;
+  for (const auto& [name, h] : histograms) {
+    if (!first) out += ',';
+    first = false;
+    out += '"' + json_escape(name) + "\":{\"bounds\":[";
+    for (std::size_t i = 0; i < h.kBounds.size(); ++i) {
+      if (i) out += ',';
+      out += std::to_string(h.kBounds[i]);
+    }
+    out += "],\"counts\":[";
+    for (std::size_t i = 0; i < h.counts.size(); ++i) {
+      if (i) out += ',';
+      out += std::to_string(h.counts[i]);
+    }
+    out += "],\"count\":" + std::to_string(h.count) +
+           ",\"sum\":" + std::to_string(h.sum) + '}';
+  }
+  out += '}';
 }
 
 }  // namespace
@@ -114,6 +139,94 @@ std::uint64_t ScenarioMetrics::get(std::string_view name) const {
   return (it != entries_.end() && it->first == name) ? it->second : 0;
 }
 
+void Histogram::observe(std::uint64_t value) {
+  const auto it = std::lower_bound(kBounds.begin(), kBounds.end(), value);
+  ++counts[static_cast<std::size_t>(it - kBounds.begin())];
+  ++count;
+  sum += value;
+}
+
+// ---- RunRecord ----
+
+void RunRecord::merge_scenario(const ScenarioMetrics& delta,
+                               const cov::CoverageVector& coverage) {
+  for (const auto& [name, value] : delta.entries()) {
+    // Per-scenario observations feed histograms; everything else is a
+    // plain additive counter. Both are order-independent, but the caller
+    // still merges in canonical index order so the rule never has to be
+    // relitigated when a non-commutative metric appears.
+    if (name == "scenario.convergence_time_us") {
+      histograms_["sim.convergence_time_ms"].observe(value / 1000);
+      continue;
+    }
+    counters_[name] += value;
+    if (name == "sim.events_executed")
+      histograms_["sim.events_per_scenario"].observe(value);
+    else if (name == "sim.frames_delivered")
+      histograms_["sim.frames_per_scenario"].observe(value);
+  }
+  std::uint64_t novel = 0;
+  for (const cov::FeatureId id : coverage.ids()) {
+    const auto it = std::lower_bound(seen_.begin(), seen_.end(), id);
+    if (it == seen_.end() || *it != id) {
+      seen_.insert(it, id);
+      ++novel;
+    }
+  }
+  novelty_.push_back(novel);
+  curve_.push_back(seen_.size());
+}
+
+void RunRecord::add(std::string_view name, std::uint64_t value) {
+  counters_[std::string(name)] += value;
+}
+
+std::uint64_t RunRecord::counter(std::string_view name) const {
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second;
+}
+
+std::uint64_t RunRecord::class_seen(cov::FeatureClass cls) const {
+  return static_cast<std::uint64_t>(
+      std::count_if(seen_.begin(), seen_.end(), [cls](cov::FeatureId id) {
+        return cov::feature_class(id) == cls;
+      }));
+}
+
+std::string RunRecord::sim_json() const {
+  std::string out;
+  append_section(out, "sim", counters_, histograms_);
+  out += '}';
+  return out;
+}
+
+std::string RunRecord::cov_json() const {
+  std::ostringstream os;
+  os << "\"cov\":{\"scenarios\":" << scenarios()
+     << ",\"features_seen\":" << seen_.size()
+     << ",\"universe\":" << cov::universe_size() << ",\"classes\":{";
+  for (std::size_t i = 0; i < std::size(cov::kClasses); ++i) {
+    const auto& row = cov::kClasses[i];
+    if (i) os << ',';
+    os << '"' << row.name << "\":{\"seen\":" << class_seen(row.cls)
+       << ",\"universe\":" << cov::universe_size(row.cls) << '}';
+  }
+  const auto list = [&os](const auto& values) {
+    for (std::size_t i = 0; i < values.size(); ++i)
+      os << (i ? "," : "") << values[i];
+  };
+  os << "},\"novelty\":[";
+  list(novelty_);
+  os << "],\"curve\":[";
+  list(curve_);
+  os << "],\"features\":[";
+  // seen_ is sorted by id; feature names are emitted in that stable order.
+  for (std::size_t i = 0; i < seen_.size(); ++i)
+    os << (i ? "," : "") << '"' << cov::feature_name(seen_[i]) << '"';
+  os << "]}";
+  return os.str();
+}
+
 // ---- Registry ----
 
 Registry& Registry::instance() {
@@ -121,76 +234,13 @@ Registry& Registry::instance() {
   return registry;
 }
 
-Registry::Registry() = default;
-
-void Registry::Histogram::observe(std::uint64_t value) {
-  const auto it = std::lower_bound(bounds.begin(), bounds.end(), value);
-  ++counts[static_cast<std::size_t>(it - bounds.begin())];
-  ++count;
-  sum += value;
-}
-
-Registry::Histogram& Registry::sim_histogram(std::string_view name) {
-  auto it = sim_histograms_.find(name);
-  if (it == sim_histograms_.end()) {
-    Histogram h;
-    h.bounds = decade_bounds();
-    h.counts.assign(h.bounds.size() + 1, 0);
-    it = sim_histograms_.emplace(std::string(name), std::move(h)).first;
-  }
-  return it->second;
-}
-
-Registry::Histogram& Registry::wall_histogram(std::string_view name) {
-  auto it = wall_histograms_.find(name);
-  if (it == wall_histograms_.end()) {
-    Histogram h;
-    h.bounds = decade_bounds();
-    h.counts.assign(h.bounds.size() + 1, 0);
-    it = wall_histograms_.emplace(std::string(name), std::move(h)).first;
-  }
-  return it->second;
-}
-
 void Registry::reset() {
   std::lock_guard lock(mutex_);
-  sim_counters_.clear();
-  sim_histograms_.clear();
-  wall_histograms_.clear();
+  histograms_.clear();
   spans_.clear();
   hot_retired_.fill(0);
   for (HotBlock* block : hot_blocks_)
     for (auto& slot : block->slots) slot.store(0, std::memory_order_relaxed);
-}
-
-void Registry::merge_scenario(const ScenarioMetrics& delta) {
-  std::lock_guard lock(mutex_);
-  for (const auto& [name, value] : delta.entries()) {
-    // Per-scenario observations feed histograms; everything else is a
-    // plain additive counter. Both are order-independent, but the caller
-    // still merges in canonical index order so the rule never has to be
-    // relitigated when a non-commutative metric appears.
-    if (name == "scenario.convergence_time_us") {
-      sim_histogram("sim.convergence_time_ms").observe(value / 1000);
-      continue;
-    }
-    sim_counters_[name] += value;
-    if (name == "sim.events_executed")
-      sim_histogram("sim.events_per_scenario").observe(value);
-    else if (name == "sim.frames_delivered")
-      sim_histogram("sim.frames_per_scenario").observe(value);
-  }
-}
-
-std::uint64_t Registry::sim_counter(std::string_view name) const {
-  std::lock_guard lock(mutex_);
-  const auto it = sim_counters_.find(name);
-  return it == sim_counters_.end() ? 0 : it->second;
-}
-
-void Registry::observe_wall(std::string_view histogram, std::uint64_t value) {
-  std::lock_guard lock(mutex_);
-  wall_histogram(histogram).observe(value);
 }
 
 void Registry::record_span(std::string_view name, std::string label,
@@ -200,8 +250,8 @@ void Registry::record_span(std::string_view name, std::string label,
   std::lock_guard lock(mutex_);
   spans_.push_back(SpanEvent{std::string(name), std::move(label), tid,
                              start_us, dur});
-  wall_histogram("wall." + std::string(name) + "_us")
-      .observe(static_cast<std::uint64_t>(dur));
+  histograms_["wall." + std::string(name) + "_us"].observe(
+      static_cast<std::uint64_t>(dur));
 }
 
 std::vector<SpanEvent> Registry::spans() const {
@@ -214,13 +264,16 @@ std::size_t Registry::span_count() const {
   return spans_.size();
 }
 
-std::uint64_t Registry::hot_counter(Hot which) const {
-  const auto i = static_cast<std::size_t>(which);
-  std::lock_guard lock(mutex_);
-  std::uint64_t total = hot_retired_[i];
+std::uint64_t Registry::hot_total(std::size_t slot) const {
+  std::uint64_t total = hot_retired_[slot];
   for (const HotBlock* block : hot_blocks_)
-    total += block->slots[i].load(std::memory_order_relaxed);
+    total += block->slots[slot].load(std::memory_order_relaxed);
   return total;
+}
+
+std::uint64_t Registry::hot_counter(Hot which) const {
+  std::lock_guard lock(mutex_);
+  return hot_total(static_cast<std::size_t>(which));
 }
 
 void Registry::attach_hot_block(HotBlock* block) {
@@ -237,116 +290,26 @@ void Registry::detach_hot_block(HotBlock* block) {
       hot_blocks_.end());
 }
 
-namespace {
-
-void append_counters(
-    std::string& out,
-    const std::map<std::string, std::uint64_t, std::less<>>& counters) {
-  out += "\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(name);
-    out += "\":";
-    out += std::to_string(value);
-  }
-  out += '}';
-}
-
-}  // namespace
-
-void Registry::append_section(std::string& out, const char* domain,
-                              bool wall_clock) const {
-  // Caller holds no lock; this takes it per section.
+std::string Registry::wall_json() const {
   std::lock_guard lock(mutex_);
-  out += '"';
-  out += domain;
-  out += "\":{";
-  if (!wall_clock) {
-    append_counters(out, sim_counters_);
-  } else {
-    std::map<std::string, std::uint64_t, std::less<>> process;
-    const auto sum_slot = [&](std::size_t i) {
-      std::uint64_t total = hot_retired_[i];
-      for (const HotBlock* b : hot_blocks_)
-        total += b->slots[i].load(std::memory_order_relaxed);
-      return total;
-    };
-    process["process.events_executed"] =
-        sum_slot(static_cast<std::size_t>(Hot::kEventsExecuted));
-    process["process.timers_scheduled"] =
-        sum_slot(static_cast<std::size_t>(Hot::kTimersScheduled));
-    process["process.frames_delivered"] =
-        sum_slot(static_cast<std::size_t>(Hot::kFramesDelivered));
-    process["process.frames_dropped"] =
-        sum_slot(static_cast<std::size_t>(Hot::kFramesDropped));
-    append_counters(out, process);
-  }
-  out += ",\"histograms\":{";
-  const auto& histograms = wall_clock ? wall_histograms_ : sim_histograms_;
-  bool first = true;
-  for (const auto& [name, h] : histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(name);
-    out += "\":{\"bounds\":[";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i) out += ',';
-      out += std::to_string(h.bounds[i]);
-    }
-    out += "],\"counts\":[";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (i) out += ',';
-      out += std::to_string(h.counts[i]);
-    }
-    out += "],\"count\":";
-    out += std::to_string(h.count);
-    out += ",\"sum\":";
-    out += std::to_string(h.sum);
-    out += '}';
-  }
-  out += "}";
-  if (wall_clock) {
-    out += ",\"spans\":";
-    out += std::to_string(spans_.size());
-  }
-  out += '}';
-}
-
-std::string Registry::sim_json() const {
+  const auto slot = [this](Hot h) {
+    return hot_total(static_cast<std::size_t>(h));
+  };
+  const Counters process = {
+      {"process.events_executed", slot(Hot::kEventsExecuted)},
+      {"process.timers_scheduled", slot(Hot::kTimersScheduled)},
+      {"process.frames_delivered", slot(Hot::kFramesDelivered)},
+      {"process.frames_dropped", slot(Hot::kFramesDropped)}};
   std::string out;
-  append_section(out, "sim", /*wall_clock=*/false);
+  append_section(out, "wall", process, histograms_);
+  out += ",\"spans\":" + std::to_string(spans_.size()) + '}';
   return out;
 }
 
-std::string Registry::metrics_json() const {
-  // Line-structured on purpose: "sim" occupies exactly one line so
-  // byte-comparisons across --jobs / cache temperature can strip the
-  // wall-clock line with grep (see tests/determinism_matrix.sh).
-  std::string out = "{\n\"version\":1,\n";
-  append_section(out, "sim", /*wall_clock=*/false);
-  out += ",\n";
-  append_section(out, "wall", /*wall_clock=*/true);
-  out += "\n}\n";
-  return out;
-}
-
-std::string Registry::headline_json() const {
-  const std::uint64_t fsm = sim_counter("ospf.fsm_transitions") +
-                            sim_counter("bgp.fsm_transitions");
-  std::string out = "{\"sim_events\":";
-  out += std::to_string(sim_counter("sim.events_executed"));
-  out += ",\"sim_frames_delivered\":";
-  out += std::to_string(sim_counter("sim.frames_delivered"));
-  out += ",\"fsm_transitions\":";
-  out += std::to_string(fsm);
-  out += ",\"spans\":";
-  out += std::to_string(span_count());
-  out += '}';
-  return out;
+std::string metrics_json(const RunRecord& record) {
+  return "{\n\"version\":1,\n" + record.sim_json() + ",\n" +
+         record.cov_json() + ",\n" + Registry::instance().wall_json() +
+         "\n}\n";
 }
 
 void Registry::write_trace_json(std::ostream& os) const {

@@ -1,30 +1,37 @@
-// Deterministic metrics + span-profiling subsystem (nidkit::obs).
+// Deterministic run record + wall-clock span profiling (nidkit::obs).
 //
 // Two time domains, kept strictly apart:
 //
-//  * simulated time — counters and fixed-bucket histograms derived from
-//    the deterministic event loop (hellos sent, neighbor-FSM transitions,
-//    LSA floods/retransmissions, frames delivered/dropped/delayed by
-//    chaos...). Every scenario run produces a canonical ScenarioMetrics
-//    delta; the harness merges deltas into the global registry in
-//    canonical scenario-index order — exactly like RelationSet::merge —
-//    so a snapshot's "sim" section is bit-identical across --jobs 1/4/8
-//    and cache warm/cold (cached entries carry their scenario's delta and
-//    replay it on a hit instead of re-simulating).
+//  * simulated time — what a run exercised, held in one RunRecord value
+//    per run: counters and fixed-bucket histograms folded from every
+//    scenario's ScenarioMetrics delta (hellos sent, neighbor-FSM
+//    transitions, LSA floods, frames delivered/dropped/delayed by
+//    chaos...), and the behavioral-coverage seen set, novelty list and
+//    saturation curve folded from its cov::CoverageVector. A caller
+//    attaches a record through ExperimentConfig::record; the harness folds
+//    every scenario into it in canonical scenario-index order on one
+//    thread — exactly like RelationSet::merge — so the record's "sim" and
+//    "cov" lines are bit-identical across --jobs 1/4/8 and cache warm/cold
+//    (cached entries carry their scenario's delta and vector and replay
+//    them on a hit instead of re-simulating).
 //
-//  * wall clock — phase spans (simulate / mine / merge / cache-lookup /
-//    cache-store / queue-wait) recorded per worker thread and exported as
-//    Chrome trace-event JSON (loads in ui.perfetto.dev, one lane per
-//    worker), plus live process counters bumped on the event hot path.
-//    Everything wall-clock lives in the snapshot's "wall" section, which
-//    determinism comparisons strip.
+//  * wall clock — the process-wide Registry: phase spans (simulate / mine
+//    / merge / cache-lookup / cache-store / queue-wait) recorded per worker
+//    thread and exported as Chrome trace-event JSON (loads in
+//    ui.perfetto.dev, one lane per worker), their duration histograms, and
+//    live process counters bumped on the event hot path. It lands in the
+//    "wall" section, which determinism comparisons strip. It stays
+//    process-wide because the event loop's hot counters and the spans that
+//    workers record at any call depth need a gate they can read without a
+//    handle threaded down to them.
 //
-// Cost model: every recording operation is behind enabled() — one relaxed
-// atomic bool load. Disabled (the default), the event hot path pays a
-// single predictable branch: no stores, no locks, no allocation (gated by
+// Cost model: every wall recording operation is behind enabled() — one
+// relaxed atomic bool load. Disabled (the default), the event hot path pays
+// a single predictable branch: no stores, no locks, no allocation (gated by
 // bench_simcore). Enabled, hot counters land in per-thread slots (relaxed
 // atomics, never shared between threads), and spans — a handful per
-// scenario, never per event — take a mutex off the hot path.
+// scenario, never per event — take a mutex off the hot path. A run without
+// a record folds nothing.
 #pragma once
 
 #include <array>
@@ -39,14 +46,16 @@
 #include <utility>
 #include <vector>
 
+#include "cov/cov.hpp"
+
 namespace nidkit::obs {
 
 namespace detail {
 inline std::atomic<bool> g_enabled{false};
 }  // namespace detail
 
-/// Global observability switch. Off by default; the CLI flips it on for
-/// --metrics-out / --trace-out runs.
+/// The wall-clock recording switch. Off by default; the CLI flips it on
+/// for --metrics-out / --trace-out runs.
 inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
@@ -112,6 +121,65 @@ class ScenarioMetrics {
   std::vector<std::pair<std::string, std::uint64_t>> entries_;
 };
 
+/// Histogram over fixed decade buckets 1, 10, ... 1e9 plus an overflow
+/// bucket. Fixed (never derived from data) so two runs can never disagree
+/// on bucket layout.
+struct Histogram {
+  static constexpr std::array<std::uint64_t, 10> kBounds = {
+      1,       10,        100,        1'000,       10'000,
+      100'000, 1'000'000, 10'000'000, 100'000'000, 1'000'000'000};
+  std::array<std::uint64_t, kBounds.size() + 1> counts{};
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+
+  void observe(std::uint64_t value);
+};
+
+using Counters = std::map<std::string, std::uint64_t, std::less<>>;
+using Histograms = std::map<std::string, Histogram, std::less<>>;
+
+/// Everything deterministic one run recorded. A plain value: no locks, no
+/// switch. merge_scenario MUST be called in canonical scenario-index order
+/// from one thread (the fan-out merge loop), never from workers, so the
+/// counters, the seen set, the novelty list and the saturation curve are
+/// bit-identical for any worker count and cache temperature.
+class RunRecord {
+ public:
+  /// Folds one scenario in: its delta into the counters and histograms,
+  /// its vector into the seen set, plus one novelty and one curve point.
+  void merge_scenario(const ScenarioMetrics& delta,
+                      const cov::CoverageVector& coverage);
+
+  /// Adds `value` to a counter without merging a scenario, so no coverage
+  /// point appears (triage's run-level probe and incident counts).
+  void add(std::string_view name, std::uint64_t value);
+
+  /// Current value of a counter (0 when never merged).
+  std::uint64_t counter(std::string_view name) const;
+
+  /// Scenarios merged so far.
+  std::uint64_t scenarios() const { return curve_.size(); }
+  /// Every feature seen so far, sorted.
+  const std::vector<cov::FeatureId>& seen() const { return seen_; }
+  std::uint64_t class_seen(cov::FeatureClass cls) const;
+  /// Per-scenario novelty: features no earlier scenario had shown.
+  const std::vector<std::uint64_t>& novelty() const { return novelty_; }
+  /// Saturation curve: curve()[i] = features seen after scenario i.
+  const std::vector<std::uint64_t>& curve() const { return curve_; }
+
+  /// The single line `"sim":{...}`.
+  std::string sim_json() const;
+  /// The single line `"cov":{...}`.
+  std::string cov_json() const;
+
+ private:
+  Counters counters_;
+  Histograms histograms_;
+  std::vector<cov::FeatureId> seen_;  ///< sorted unique
+  std::vector<std::uint64_t> novelty_;
+  std::vector<std::uint64_t> curve_;
+};
+
 /// One completed phase span, as exported to the trace file.
 struct SpanEvent {
   std::string name;    ///< phase: simulate, mine, merge, cache-lookup...
@@ -121,17 +189,8 @@ struct SpanEvent {
   std::int64_t dur_us = 0;
 };
 
-/// Read-only view of a fixed-bucket histogram. `bounds[i]` is bucket i's
-/// inclusive upper bound; `counts` has one extra overflow bucket.
-struct HistogramSnapshot {
-  std::string name;
-  std::vector<std::uint64_t> bounds;
-  std::vector<std::uint64_t> counts;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-};
-
-/// The process-wide registry of counters, histograms and spans.
+/// The process-wide wall-clock registry: spans, their duration histograms
+/// and the hot counters.
 class Registry {
  public:
   static Registry& instance();
@@ -139,25 +198,9 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Drops all recorded data (counters, histograms, spans) and rebases
-  /// per-thread hot slots. The enabled flag is left untouched.
+  /// Drops all spans and histograms and rebases per-thread hot slots. The
+  /// enabled flag is left untouched.
   void reset();
-
-  // ---- simulated-time domain (deterministic) ----
-
-  /// Folds one scenario's delta into the sim-domain counters and
-  /// histograms. MUST be called in canonical scenario-index order from a
-  /// single thread — the harness's merge loop — never from workers.
-  void merge_scenario(const ScenarioMetrics& delta);
-
-  /// Current value of a sim-domain counter (0 when never merged).
-  std::uint64_t sim_counter(std::string_view name) const;
-
-  // ---- wall-clock domain ----
-
-  /// Adds `value` to a wall-domain histogram (created on first use with
-  /// fixed decade buckets).
-  void observe_wall(std::string_view histogram, std::uint64_t value);
 
   /// Records a completed span [start_us, end_us) on the calling thread's
   /// lane and feeds the matching "wall.<name>_us" histogram.
@@ -168,20 +211,8 @@ class Registry {
   std::size_t span_count() const;
   std::uint64_t hot_counter(Hot which) const;
 
-  // ---- snapshots ----
-
-  /// The full metrics snapshot. Line-structured JSON: the "sim" object is
-  /// emitted on exactly one line so determinism checks can strip the
-  /// wall-clock section with a line-oriented tool (grep '"sim":').
-  std::string metrics_json() const;
-
-  /// Just the deterministic section — the line `"sim":{...}`.
-  std::string sim_json() const;
-
-  /// Headline numbers folded into --stats output.
-  /// {"sim_events":...,"sim_frames_delivered":...,
-  ///  "fsm_transitions":...,"spans":...}
-  std::string headline_json() const;
+  /// The single line `"wall":{...}`.
+  std::string wall_json() const;
 
   /// Chrome trace-event JSON (Perfetto-loadable): one "X" event per span,
   /// one lane per recording thread, with thread_name metadata.
@@ -195,30 +226,23 @@ class Registry {
   void detach_hot_block(HotBlock* block);
 
  private:
-  Registry();
+  Registry() = default;
 
-  struct Histogram {
-    std::vector<std::uint64_t> bounds;
-    std::vector<std::uint64_t> counts;  ///< bounds.size() + 1 (overflow)
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    void observe(std::uint64_t value);
-  };
-
-  Histogram& sim_histogram(std::string_view name);
-  Histogram& wall_histogram(std::string_view name);
-  void append_section(std::string& out, const char* domain,
-                      bool wall_clock) const;
+  std::uint64_t hot_total(std::size_t slot) const;  ///< caller holds mutex_
 
   mutable std::mutex mutex_;
-  std::map<std::string, std::uint64_t, std::less<>> sim_counters_;
-  std::map<std::string, Histogram, std::less<>> sim_histograms_;
-  std::map<std::string, Histogram, std::less<>> wall_histograms_;
+  Histograms histograms_;
   std::vector<SpanEvent> spans_;
   std::vector<HotBlock*> hot_blocks_;
   std::array<std::uint64_t, kHotCount> hot_retired_{};
   std::atomic<std::uint32_t> next_tid_{0};
 };
+
+/// The --metrics-out document, one section per line:
+///   {\n"version":1,\n"sim":{...},\n"cov":{...},\n"wall":{...}\n}\n
+/// so determinism checks can cut the deterministic lines out with a
+/// line-oriented tool (grep '"sim":').
+std::string metrics_json(const RunRecord& record);
 
 /// RAII phase span. Construction snapshots the clock when the registry is
 /// enabled; destruction records the span. Cheap no-op when disabled.

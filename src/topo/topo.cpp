@@ -36,6 +36,9 @@ std::vector<Spec> extended_topologies() {
 
 const char* spec_error(const Spec& spec) {
   if (spec.routers < 2) return "topology needs at least 2 routers";
+  if (spec.routers > kMaxRouters)
+    return "topology takes at most 254 routers: each router gets one octet "
+           "of the address plan (router id b.b.b.b, LAN host .b)";
   if (spec.kind == Kind::kRing && spec.routers < 3)
     return "a ring needs at least 3 routers";
   return nullptr;

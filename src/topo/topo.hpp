@@ -48,8 +48,13 @@ struct Built {
   std::vector<netsim::SegmentId> segments;
 };
 
-/// Why `spec` cannot be built — fewer than 2 routers, or a ring of fewer
-/// than 3 — or nullptr when it can.
+/// Most routers a spec may have. Router i gets id b.b.b.b and LAN host
+/// address .b with b = i + 1, so a 255th would take a broadcast address and
+/// a 256th would wrap to 0.0.0.0.
+inline constexpr std::size_t kMaxRouters = 254;
+
+/// Why `spec` cannot be built — fewer than 2 routers, more than
+/// kMaxRouters, or a ring of fewer than 3 — or nullptr when it can.
 const char* spec_error(const Spec& spec);
 
 /// Instantiates `spec` inside `net` with nodes named r0, r1, ...

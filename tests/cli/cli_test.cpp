@@ -194,6 +194,17 @@ TEST(Cli, EveryCommandRejectsBadFlags) {
       "--max-ms");
   expect_usage_error({"audit", "--jobs", "32768"}, "--jobs");
   expect_usage_error({"audit", "--json"}, "--json");
+  // More routers or churn events than the address plan has octets for
+  // (mesh-100000 once exhausted the host).
+  expect_usage_error({"audit", "--topos", "mesh-100000"}, "mesh-100000");
+  expect_usage_error({"triage", "--topos", "lan-255"}, "lan-255");
+  std::string churn = "0";
+  for (int i = 1; i < 257; ++i) churn += "," + std::to_string(i);
+  expect_usage_error({"audit", "--churn-s", churn}, "--churn-s");
+  // Removed telemetry flags are unknown flags now.
+  expect_usage_error({"audit", "--stats", "inline"}, "--stats");
+  expect_usage_error({"sweep", "--stats", "s.json"}, "--stats");
+  expect_usage_error({"audit", "--coverage-out", "c.json"}, "--coverage-out");
 }
 
 TEST(Cli, FlagsAtTheirMaximumRun) {
@@ -359,19 +370,19 @@ TEST(Cli, StatsOutMetricsOutAndTraceOutWriteFiles) {
 
   const auto stats_json = slurp(stats);
   EXPECT_NE(stats_json.find("\"tasks_run\":"), std::string::npos);
-  // The obs session was live for this run, so the executor telemetry
-  // carries the headline metrics object too.
-  EXPECT_NE(stats_json.find("\"metrics\":{\"sim_events\":"),
-            std::string::npos);
   // No cache configured: the stats JSON must not claim one.
   EXPECT_EQ(stats_json.find("\"cache\""), std::string::npos);
 
   const auto metrics_json = slurp(metrics);
-  EXPECT_EQ(metrics_json.rfind("{\n\"version\":1,\n", 0), 0u);
-  EXPECT_NE(metrics_json.find("\"sim\":{"), std::string::npos);
+  EXPECT_EQ(metrics_json.rfind("{\n\"version\":1,\n\"sim\":{", 0), 0u);
   EXPECT_NE(metrics_json.find("\"ospf.fsm_transitions\":"),
             std::string::npos);
   EXPECT_NE(metrics_json.find("\"wall\":{"), std::string::npos);
+  std::size_t cov_lines = 0;
+  std::istringstream lines(metrics_json);
+  for (std::string line; std::getline(lines, line);)
+    cov_lines += line.rfind("\"cov\":{", 0) == 0 ? 1 : 0;
+  EXPECT_EQ(cov_lines, 1u);
 
   const auto trace_json = slurp(trace);
   EXPECT_NE(trace_json.find("\"traceEvents\":["), std::string::npos);
@@ -386,9 +397,12 @@ TEST(Cli, StatsOutMetricsOutAndTraceOutWriteFiles) {
 TEST(Cli, StatsFlagStillWritesItsOwnFile) {
   const std::string stats = "cli_stats_flag.tmp";
   const auto r = run({"sweep", "--impl", "frr", "--max-ms", "0",
-                      "--step-ms", "150", "--stats", stats});
+                      "--step-ms", "150", "--stats-out", stats});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(slurp(stats).find("\"tasks_run\":"), std::string::npos);
+  // Telemetry never leaks into the report streams.
+  EXPECT_EQ(r.err, "");
+  EXPECT_EQ(r.out.find("tasks_run"), std::string::npos);
   std::remove(stats.c_str());
 }
 
@@ -519,7 +533,7 @@ TEST(Cli, CoverageJsonIsJobsInvariant) {
 TEST(Cli, CoverageOutWritesOneLineCovSection) {
   const std::string path = "cli_coverage_out.tmp";
   const auto r = run({"audit", "--impls", "frr,bird", "--topos", "linear-2",
-                      "--seeds", "1", "--duration-s", "90", "--coverage-out",
+                      "--seeds", "1", "--duration-s", "90", "--metrics-out",
                       path});
   EXPECT_EQ(r.code, 0) << r.err;
 
@@ -527,7 +541,7 @@ TEST(Cli, CoverageOutWritesOneLineCovSection) {
   EXPECT_EQ(doc.rfind("{\n\"version\":1,\n", 0), 0u);
   // The whole "cov" section occupies exactly one line, so CI can
   // `grep '"cov":' | cmp` across jobs/cache laps (same contract as the
-  // --metrics-out "sim" section).
+  // "sim" section); only the separating comma follows it.
   std::size_t cov_lines = 0;
   std::istringstream lines(doc);
   for (std::string line; std::getline(lines, line);) {
@@ -535,7 +549,7 @@ TEST(Cli, CoverageOutWritesOneLineCovSection) {
       ++cov_lines;
       EXPECT_NE(line.find("\"universe\":120"), std::string::npos);
       EXPECT_NE(line.find("\"curve\":["), std::string::npos);
-      EXPECT_EQ(line.back(), '}');
+      EXPECT_EQ(line.substr(line.size() - 2), "},");
     }
   }
   EXPECT_EQ(cov_lines, 1u);

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
+
 namespace nidkit::cov {
 namespace {
 
@@ -125,11 +127,10 @@ TEST(CoverageVectorTest, FinalizeSortsDedupsAndIsIdempotent) {
   EXPECT_FALSE(v == empty);
 }
 
+// The coverage half of obs::RunRecord: the seen set, novelty list and
+// saturation curve a run accumulates.
 class CoverageMapTest : public ::testing::Test {
  protected:
-  void SetUp() override { CoverageMap::instance().reset(); }
-  void TearDown() override { CoverageMap::instance().reset(); }
-
   static CoverageVector vec(std::initializer_list<FeatureId> ids) {
     CoverageVector v;
     for (const auto id : ids) v.add(id);
@@ -139,51 +140,37 @@ class CoverageMapTest : public ::testing::Test {
 };
 
 TEST_F(CoverageMapTest, MergeTracksNoveltyCurveAndClassCounts) {
-  auto& map = CoverageMap::instance();
-  EXPECT_EQ(map.scenarios(), 0u);
-  EXPECT_EQ(map.features_seen(), 0u);
+  obs::RunRecord record;
+  EXPECT_EQ(record.scenarios(), 0u);
+  EXPECT_EQ(record.seen().size(), 0u);
 
   const auto a = fsm_edge(Proto::kOspf, 0, 1);
   const auto b = packet_pair(Proto::kOspf, 1, 1);
   const auto c = chaos(ChaosClass::kDelay);
 
-  EXPECT_EQ(map.merge_scenario(vec({a, b})), 2u);
-  EXPECT_EQ(map.merge_scenario(vec({a, b})), 0u);  // nothing new
-  EXPECT_EQ(map.merge_scenario(vec({b, c})), 1u);  // c is novel
+  record.merge_scenario({}, vec({a, b}));
+  record.merge_scenario({}, vec({a, b}));  // nothing new
+  record.merge_scenario({}, vec({b, c}));  // c is novel
 
-  EXPECT_EQ(map.scenarios(), 3u);
-  EXPECT_EQ(map.features_seen(), 3u);
-  EXPECT_EQ(map.class_seen(FeatureClass::kFsmEdge), 1u);
-  EXPECT_EQ(map.class_seen(FeatureClass::kPacketPair), 1u);
-  EXPECT_EQ(map.class_seen(FeatureClass::kChaos), 1u);
-  EXPECT_EQ(map.class_seen(FeatureClass::kLsaLifecycle), 0u);
-  EXPECT_EQ(map.novelty(), (std::vector<std::uint64_t>{2, 0, 1}));
-  EXPECT_EQ(map.curve(), (std::vector<std::uint64_t>{2, 2, 3}));
-  const auto seen = map.seen_ids();
+  EXPECT_EQ(record.scenarios(), 3u);
+  EXPECT_EQ(record.seen().size(), 3u);
+  EXPECT_EQ(record.class_seen(FeatureClass::kFsmEdge), 1u);
+  EXPECT_EQ(record.class_seen(FeatureClass::kPacketPair), 1u);
+  EXPECT_EQ(record.class_seen(FeatureClass::kChaos), 1u);
+  EXPECT_EQ(record.class_seen(FeatureClass::kLsaLifecycle), 0u);
+  EXPECT_EQ(record.novelty(), (std::vector<std::uint64_t>{2, 0, 1}));
+  EXPECT_EQ(record.curve(), (std::vector<std::uint64_t>{2, 2, 3}));
+  const auto& seen = record.seen();
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
-  EXPECT_EQ(seen.size(), 3u);
-}
-
-TEST_F(CoverageMapTest, ResetDropsCoverageButNotTheEnabledFlag) {
-  auto& map = CoverageMap::instance();
-  map.merge_scenario(vec({chaos(ChaosClass::kChurn)}));
-  const bool was = enabled();
-  set_enabled(true);
-  map.reset();
-  EXPECT_EQ(map.scenarios(), 0u);
-  EXPECT_EQ(map.features_seen(), 0u);
-  EXPECT_TRUE(map.curve().empty());
-  EXPECT_TRUE(enabled());
-  set_enabled(was);
 }
 
 TEST_F(CoverageMapTest, CovJsonIsExactlyOneLine) {
-  auto& map = CoverageMap::instance();
-  map.merge_scenario(vec({fsm_edge(Proto::kOspf, 0, 1),
-                          lsa_lifecycle(LsaEvent::kOriginate)}));
-  map.merge_scenario(vec({fsm_edge(Proto::kOspf, 0, 1)}));
+  obs::RunRecord record;
+  record.merge_scenario({}, vec({fsm_edge(Proto::kOspf, 0, 1),
+                                 lsa_lifecycle(LsaEvent::kOriginate)}));
+  record.merge_scenario({}, vec({fsm_edge(Proto::kOspf, 0, 1)}));
 
-  const std::string line = map.cov_json();
+  const std::string line = record.cov_json();
   // The whole section lives on one line so CI can `grep '"cov":' | cmp`.
   EXPECT_EQ(line.find('\n'), std::string::npos);
   EXPECT_EQ(line.rfind("\"cov\":{", 0), 0u);
@@ -199,10 +186,21 @@ TEST_F(CoverageMapTest, CovJsonIsExactlyOneLine) {
 }
 
 TEST_F(CoverageMapTest, CoverageJsonIsLineStructured) {
-  auto& map = CoverageMap::instance();
-  map.merge_scenario(vec({chaos(ChaosClass::kReorder)}));
-  const std::string doc = map.coverage_json();
-  EXPECT_EQ(doc, "{\n\"version\":1,\n" + map.cov_json() + "\n}\n");
+  obs::RunRecord record;
+  record.merge_scenario({}, vec({chaos(ChaosClass::kReorder)}));
+  // The "cov" line sits between "sim" and "wall" in the metrics document,
+  // with nothing else on it but the separating comma.
+  const std::string doc = obs::metrics_json(record);
+  EXPECT_NE(doc.find("},\n" + record.cov_json() + ",\n\"wall\":{"),
+            std::string::npos);
+  EXPECT_EQ(record.cov_json(),
+            "\"cov\":{\"scenarios\":1,\"features_seen\":1,\"universe\":120,"
+            "\"classes\":{\"fsm\":{\"seen\":0,\"universe\":54},"
+            "\"pair\":{\"seen\":0,\"universe\":45},"
+            "\"path\":{\"seen\":0,\"universe\":12},"
+            "\"lsa\":{\"seen\":0,\"universe\":3},"
+            "\"chaos\":{\"seen\":1,\"universe\":6}},"
+            "\"novelty\":[1],\"curve\":[1],\"features\":[\"chaos.reorder\"]}");
 }
 
 }  // namespace

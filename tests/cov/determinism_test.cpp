@@ -1,9 +1,9 @@
-// The determinism half of the coverage contract: the accumulated
-// CoverageMap — seen set, per-scenario novelty scores and saturation
-// curve — is bit-identical across worker counts and cache temperature.
-// Workers never touch the map; every scenario's CoverageVector merges in
-// canonical index order on one thread, and cached entries replay the
-// vector they stored instead of re-simulating.
+// The determinism half of the coverage contract: a run record's coverage
+// — seen set, per-scenario novelty scores and saturation curve — is
+// bit-identical across worker counts and cache temperature. Workers never
+// touch the record; every scenario's CoverageVector merges in canonical
+// index order on one thread, and cached entries replay the vector they
+// stored instead of re-simulating.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,6 +11,7 @@
 
 #include "cov/cov.hpp"
 #include "harness/experiment.hpp"
+#include "obs/obs.hpp"
 
 namespace nidkit::harness {
 namespace {
@@ -27,17 +28,12 @@ class CovDeterminismTest : public ::testing::Test {
                                                  ->name())))
                .string();
     fs::remove_all(dir_);
-    cov::CoverageMap::instance().reset();
-    cov::set_enabled(true);
   }
-  void TearDown() override {
-    cov::set_enabled(false);
-    cov::CoverageMap::instance().reset();
-    fs::remove_all(dir_);
-  }
+  void TearDown() override { fs::remove_all(dir_); }
 
-  ExperimentConfig config(std::size_t jobs, bool cached) const {
+  ExperimentConfig config(std::size_t jobs, bool cached) {
     ExperimentConfig c;
+    c.record = &record_;
     c.topologies = {topo::Spec{topo::Kind::kLinear, 2},
                     topo::Spec{topo::Kind::kMesh, 3}};
     c.seeds = {1, 2};
@@ -47,19 +43,20 @@ class CovDeterminismTest : public ::testing::Test {
     return c;
   }
 
-  /// Runs a two-implementation audit from a clean map and returns the
+  /// Runs a two-implementation audit into a fresh record and returns the
   /// deterministic `"cov":{...}` snapshot line it produced.
   std::string audit_cov_json(std::size_t jobs, bool cached,
                              ExecReport* exec = nullptr) {
-    cov::CoverageMap::instance().reset();
+    record_ = {};
     const auto audit =
         audit_ospf({ospf::frr_profile(), ospf::bird_profile()},
                    config(jobs, cached), mining::ospf_type_scheme());
     if (exec) *exec = audit.exec;
-    return cov::CoverageMap::instance().cov_json();
+    return record_.cov_json();
   }
 
   std::string dir_;
+  obs::RunRecord record_;
 };
 
 TEST_F(CovDeterminismTest, CovSectionIdenticalAcrossWorkerCounts) {
@@ -77,14 +74,10 @@ TEST_F(CovDeterminismTest, WarmCacheReplaysIdenticalCovSection) {
   ExecReport cold_exec, warm_exec;
   const auto cold = audit_cov_json(2, /*cached=*/true, &cold_exec);
   EXPECT_EQ(cold_exec.cache_misses, 8u);  // 2 impls x 2 topos x 2 seeds
-  EXPECT_TRUE(cold_exec.cov_enabled);
-  EXPECT_GT(cold_exec.cov_features, 0u);
-  EXPECT_GT(cold_exec.cov_novel, 0u);
 
   const auto warm = audit_cov_json(2, /*cached=*/true, &warm_exec);
   EXPECT_EQ(warm_exec.cache_hits, 8u);
   EXPECT_EQ(warm_exec.tasks_run, 0u);  // nothing re-simulated: pure replay
-  EXPECT_EQ(warm_exec.cov_features, cold_exec.cov_features);
 
   const auto uncached = audit_cov_json(1, /*cached=*/false);
   EXPECT_EQ(cold, warm);
@@ -93,7 +86,7 @@ TEST_F(CovDeterminismTest, WarmCacheReplaysIdenticalCovSection) {
 
 TEST_F(CovDeterminismTest, AuditRecordsOnlyDeclaredFeatures) {
   audit_cov_json(2, /*cached=*/false);
-  const auto seen = cov::CoverageMap::instance().seen_ids();
+  const auto& seen = record_.seen();
   EXPECT_GT(seen.size(), 0u);
   for (const auto id : seen) {
     EXPECT_TRUE(cov::declared(id)) << "undeclared feature 0x" << std::hex
@@ -101,15 +94,13 @@ TEST_F(CovDeterminismTest, AuditRecordsOnlyDeclaredFeatures) {
     EXPECT_FALSE(cov::feature_name(id).empty());
   }
   // Coverage never exceeds the declared universe.
-  EXPECT_LE(cov::CoverageMap::instance().features_seen(),
-            cov::universe_size());
+  EXPECT_LE(seen.size(), cov::universe_size());
 }
 
 TEST_F(CovDeterminismTest, SaturationCurveIsMonotoneAndEndsAtTotal) {
   audit_cov_json(2, /*cached=*/false);
-  const auto& map = cov::CoverageMap::instance();
-  const auto curve = map.curve();
-  const auto novelty = map.novelty();
+  const auto& curve = record_.curve();
+  const auto& novelty = record_.novelty();
   ASSERT_EQ(curve.size(), 8u);  // one point per scenario, canonical order
   ASSERT_EQ(novelty.size(), 8u);
   std::uint64_t prev = 0;
@@ -118,17 +109,7 @@ TEST_F(CovDeterminismTest, SaturationCurveIsMonotoneAndEndsAtTotal) {
     EXPECT_GE(curve[i], prev);
     prev = curve[i];
   }
-  EXPECT_EQ(curve.back(), map.features_seen());
-}
-
-TEST_F(CovDeterminismTest, DisabledMapStaysEmpty) {
-  cov::set_enabled(false);
-  audit_ospf({ospf::frr_profile(), ospf::bird_profile()},
-             config(4, /*cached=*/false), mining::ospf_type_scheme());
-  const auto& map = cov::CoverageMap::instance();
-  EXPECT_EQ(map.scenarios(), 0u);
-  EXPECT_EQ(map.features_seen(), 0u);
-  EXPECT_TRUE(map.curve().empty());
+  EXPECT_EQ(curve.back(), record_.seen().size());
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "bgp/bgp_router.hpp"
 #include "cov/cov.hpp"
 #include "harness/experiment.hpp"
+#include "obs/obs.hpp"
 #include "ospf/router.hpp"
 #include "packet/bgp_packet.hpp"
 #include "packet/ospf_types.hpp"
@@ -110,25 +111,17 @@ TEST(HookGuard, EveryCrossStateEdgeIsDeclaredAndNamed) {
 
 /// The audit-backed guard: full default audits over all three protocols,
 /// then every feature the hooks recorded must be a declared FeatureId.
-class HookGuardAudit : public ::testing::Test {
- protected:
-  void SetUp() override {
-    cov::CoverageMap::instance().reset();
-    cov::set_enabled(true);
-  }
-  void TearDown() override {
-    cov::set_enabled(false);
-    cov::CoverageMap::instance().reset();
-  }
-};
-
-TEST_F(HookGuardAudit, DefaultAuditsRecordOnlyDeclaredFeatures) {
+TEST(HookGuardAudit, DefaultAuditsRecordOnlyDeclaredFeatures) {
+  obs::RunRecord record;
   // OSPF: the paper's full default audit (4 topologies x 3 seeds x 180s).
-  audit_ospf({ospf::frr_profile(), ospf::bird_profile()}, ExperimentConfig{},
+  ExperimentConfig ospf_config;
+  ospf_config.record = &record;
+  audit_ospf({ospf::frr_profile(), ospf::bird_profile()}, ospf_config,
              mining::ospf_type_scheme());
 
   // BGP: the motivating-incident setting, long-path stimulus included.
   ExperimentConfig bgp_config;
+  bgp_config.record = &record;
   bgp_config.topologies = {topo::Spec{topo::Kind::kLinear, 3}};
   bgp_config.seeds = {1};
   bgp_config.duration = 300s;
@@ -137,13 +130,14 @@ TEST_F(HookGuardAudit, DefaultAuditsRecordOnlyDeclaredFeatures) {
 
   // RIP: the variant-difference setting.
   ExperimentConfig rip_config;
+  rip_config.record = &record;
   rip_config.topologies = {topo::Spec{topo::Kind::kLinear, 3}};
   rip_config.seeds = {1};
   rip_config.duration = 240s;
   audit_rip({rip::rip_classic_profile(), rip::rip_eager_profile()},
             rip_config, mining::rip_command_scheme());
 
-  const auto seen = cov::CoverageMap::instance().seen_ids();
+  const auto& seen = record.seen();
   ASSERT_FALSE(seen.empty());
   std::uint64_t fsm_edges = 0;
   for (const auto id : seen) {

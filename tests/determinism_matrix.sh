@@ -2,10 +2,11 @@
 # Determinism matrix: every deterministic nidt output is byte-identical
 # across worker counts (--jobs 1/2/8), cache temperature (no cache, cold,
 # warm from the cold run's own segment, warm after compact) and telemetry
-# flags. Each lap
-# writes --metrics-out, --coverage-out and --stats-out; its report is
+# flags. Each lap writes --metrics-out and --stats-out; its report is
 # cmp'd against a --no-cache --jobs 1 reference run without telemetry
-# flags, and its "sim" and "cov" lines against its family's first lap.
+# flags, and the "sim" and "cov" sections of its metrics file against its
+# family's first lap. An audit lap's "cov" section also equals the one
+# `nidt coverage --format json` prints for the same flags.
 #
 # usage: tests/determinism_matrix.sh path/to/nidt   (ctest runs it)
 set -euo pipefail
@@ -18,12 +19,14 @@ unset NIDKIT_CACHE_DIR
 # `! grep` can never fail a `set -e` script, so every "must not appear"
 # check goes through here.
 absent() { if grep -q -- "$1" "$2"; then echo "FAIL: '$1' in $2" >&2; exit 1; fi; }
-# lap NAME ARGS...: one run with every telemetry output, saved as NAME.*
+# lap NAME ARGS...: one run with every telemetry output, saved as NAME.*;
+# NAME.sim and NAME.cov hold the one-line sections, without the comma
+# that separates them from the next.
 lap() {
   local name=$1; shift
-  "$NIDT" "$@" --metrics-out "$name.m" --coverage-out "$name.c" --stats-out "$name.s" > "$name.out"
-  grep '"sim":' "$name.m" > "$name.sim"
-  grep '"cov":' "$name.c" > "$name.cov"
+  "$NIDT" "$@" --metrics-out "$name.m" --stats-out "$name.s" > "$name.out"
+  grep -o '^"sim":{.*}' "$name.m" > "$name.sim"
+  grep -o '^"cov":{.*}' "$name.m" > "$name.cov"
 }
 # same REF FILE...: each FILE equals REF. warm STATS...: no cache misses.
 same() { local ref=$1; shift; for f in "$@"; do cmp "$ref" "$f"; done; }
@@ -77,8 +80,11 @@ COVERAGE=(coverage --impls frr,bird --topos linear-2 --seeds 1 --duration-s 90)
 "$NIDT" "${COVERAGE[@]}" > coverage.txt
 for key in 'coverage: ' 'saturation:' 'fsm.ospf.Down>Init'; do grep -q "$key" coverage.txt; done
 "$NIDT" "${COVERAGE[@]}" --format json > coverage.json
-grep -q '"cov":{' coverage.json
 python3 -c 'import json, sys; json.load(open(sys.argv[1]))' coverage.json
+# The audit's record reports the same coverage as the coverage command.
+lap acov audit "${COVERAGE[@]:1}"
+grep '^"cov":{' coverage.json > coverage.cov
+same coverage.cov acov.cov
 
 # Triage: jobs 1 cold, jobs 8 warm twice, jobs 1 warm. The Table 2 flag
 # comes back confirmed with a strictly smaller repro that still flags.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
+#include "obs/obs.hpp"
 
 namespace nidkit::harness {
 namespace {
@@ -82,10 +83,17 @@ TEST(Config, JobsIsAnExecutorKnobNotAScenarioKnob) {
   // is half of the determinism contract (the other half is the canonical
   // merge order, pinned in parallel_executor_test.cpp).
   EXPECT_EQ(c.jobs, 0u);
+  // `record` is exempt from the copy-through for the same reason: where a
+  // run records cannot change what a scenario computes. Null by default,
+  // so a run folds nothing unless asked.
+  EXPECT_EQ(c.record, nullptr);
+  obs::RunRecord record;
   c.jobs = 8;
+  c.record = &record;
   const auto spec = topo::Spec{topo::Kind::kRing, 4};
   const auto s8 = c.scenario_for(spec, 42);
   c.jobs = 1;
+  c.record = nullptr;
   const auto s1 = c.scenario_for(spec, 42);
   EXPECT_EQ(s8.tdelay, s1.tdelay);
   EXPECT_EQ(s8.link_jitter, s1.link_jitter);

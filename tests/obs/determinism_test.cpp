@@ -1,6 +1,6 @@
-// The deterministic half of the obs contract: the registry's "sim"
+// The deterministic half of the obs contract: a run record's "sim"
 // section is bit-identical across worker counts and cache temperature.
-// Worker threads never touch sim counters — every scenario's delta is
+// Worker threads never touch the record — every scenario's delta is
 // merged in canonical index order on one thread, and cached entries
 // replay their stored delta instead of re-simulating.
 #include <gtest/gtest.h>
@@ -35,8 +35,9 @@ class ObsDeterminismTest : public ::testing::Test {
     fs::remove_all(dir_);
   }
 
-  ExperimentConfig config(std::size_t jobs, bool cached) const {
+  ExperimentConfig config(std::size_t jobs, bool cached) {
     ExperimentConfig c;
+    c.record = &record_;
     c.topologies = {topo::Spec{topo::Kind::kLinear, 2},
                     topo::Spec{topo::Kind::kMesh, 3}};
     c.seeds = {1, 2};
@@ -46,19 +47,20 @@ class ObsDeterminismTest : public ::testing::Test {
     return c;
   }
 
-  /// Runs a two-implementation audit from a clean registry and returns
-  /// the deterministic snapshot line it produced.
+  /// Runs a two-implementation audit into a fresh record and returns the
+  /// deterministic snapshot line it produced.
   std::string audit_sim_json(std::size_t jobs, bool cached,
                              ExecReport* exec = nullptr) {
-    obs::Registry::instance().reset();
+    record_ = {};
     const auto audit =
         audit_ospf({ospf::frr_profile(), ospf::bird_profile()},
                    config(jobs, cached), mining::ospf_type_scheme());
     if (exec) *exec = audit.exec;
-    return obs::Registry::instance().sim_json();
+    return record_.sim_json();
   }
 
   std::string dir_;
+  obs::RunRecord record_;
 };
 
 TEST_F(ObsDeterminismTest, SimSectionIdenticalAcrossWorkerCounts) {
@@ -87,25 +89,24 @@ TEST_F(ObsDeterminismTest, WarmCacheReplaysIdenticalSimSection) {
 
 TEST_F(ObsDeterminismTest, SimCountersCoverTheScenarioTaxonomy) {
   audit_sim_json(2, /*cached=*/false);
-  const auto& reg = obs::Registry::instance();
   // 8 scenarios merged, each contributing runs=1.
-  EXPECT_EQ(reg.sim_counter("scenario.runs"), 8u);
-  EXPECT_GT(reg.sim_counter("sim.events_executed"), 0u);
-  EXPECT_GT(reg.sim_counter("sim.frames_delivered"), 0u);
-  EXPECT_GT(reg.sim_counter("ospf.tx_hello"), 0u);
-  EXPECT_GT(reg.sim_counter("ospf.rx_hello"), 0u);
-  EXPECT_GT(reg.sim_counter("ospf.fsm_transitions"), 0u);
-  EXPECT_GT(reg.sim_counter("ospf.lsa_installs"), 0u);
+  EXPECT_EQ(record_.counter("scenario.runs"), 8u);
+  EXPECT_GT(record_.counter("sim.events_executed"), 0u);
+  EXPECT_GT(record_.counter("sim.frames_delivered"), 0u);
+  EXPECT_GT(record_.counter("ospf.tx_hello"), 0u);
+  EXPECT_GT(record_.counter("ospf.rx_hello"), 0u);
+  EXPECT_GT(record_.counter("ospf.fsm_transitions"), 0u);
+  EXPECT_GT(record_.counter("ospf.lsa_installs"), 0u);
 }
 
 TEST_F(ObsDeterminismTest, SweepSimSectionStableAcrossJobsAndCache) {
   const std::vector<SimDuration> tds = {0ms, 900ms};
   const auto run = [&](std::size_t jobs, bool cached) {
-    obs::Registry::instance().reset();
+    record_ = {};
     auto c = config(jobs, cached);
     c.seeds = {1};
     tdelay_sweep(ospf::frr_profile(), c, tds, mining::ospf_type_scheme());
-    return obs::Registry::instance().sim_json();
+    return record_.sim_json();
   };
   const auto reference = run(1, false);
   EXPECT_NE(reference.find("\"scenario.runs\":"), std::string::npos);
@@ -115,13 +116,16 @@ TEST_F(ObsDeterminismTest, SweepSimSectionStableAcrossJobsAndCache) {
 }
 
 TEST_F(ObsDeterminismTest, DisabledRegistryStaysEmpty) {
+  // Wall recording off and no record attached: the run leaves no trace.
   obs::set_enabled(false);
-  audit_ospf({ospf::frr_profile(), ospf::bird_profile()},
-             config(4, /*cached=*/false), mining::ospf_type_scheme());
+  auto c = config(4, /*cached=*/false);
+  c.record = nullptr;
+  audit_ospf({ospf::frr_profile(), ospf::bird_profile()}, c,
+             mining::ospf_type_scheme());
   const auto& reg = obs::Registry::instance();
-  EXPECT_EQ(reg.sim_counter("scenario.runs"), 0u);
   EXPECT_EQ(reg.span_count(), 0u);
   EXPECT_EQ(reg.hot_counter(obs::Hot::kEventsExecuted), 0u);
+  EXPECT_EQ(record_.scenarios(), 0u);
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // Merge-order property: the canonical-order merge discipline is what
-// makes the "sim" and "cov" snapshot sections deterministic, so this
+// makes a run record's "sim" and "cov" sections deterministic, so this
 // pins down exactly which outputs depend on order and which do not.
-// Registry totals are pure sums — any permutation of the same scenario
-// deltas must produce an identical snapshot. CoverageMap's final seen
-// set is likewise permutation-invariant, while its saturation curve and
-// novelty scores are order-*dependent* by design (that is the point of
-// canonical order); shuffled merges must still agree on the final
-// totals.
+// Counter totals are pure sums — any permutation of the same scenario
+// deltas must produce an identical snapshot. The final seen set is
+// likewise permutation-invariant, while the saturation curve and novelty
+// scores are order-*dependent* by design (that is the point of canonical
+// order); shuffled merges must still agree on the final totals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,17 +35,12 @@ std::vector<obs::ScenarioMetrics> sample_deltas() {
 
 std::string registry_json_for_order(const std::vector<obs::ScenarioMetrics>& ds,
                                     const std::vector<std::size_t>& order) {
-  auto& reg = obs::Registry::instance();
-  reg.reset();
-  for (const auto i : order) reg.merge_scenario(ds[i]);
-  auto json = reg.sim_json();
-  reg.reset();
-  return json;
+  obs::RunRecord record;
+  for (const auto i : order) record.merge_scenario(ds[i], {});
+  return record.sim_json();
 }
 
 TEST(MergeOrder, RegistrySnapshotIsPermutationInvariant) {
-  const bool was = obs::enabled();
-  obs::set_enabled(true);
   const auto deltas = sample_deltas();
   std::vector<std::size_t> order(deltas.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -60,7 +54,6 @@ TEST(MergeOrder, RegistrySnapshotIsPermutationInvariant) {
     EXPECT_EQ(canonical, registry_json_for_order(deltas, order))
         << "trial " << trial;
   }
-  obs::set_enabled(was);
 }
 
 std::vector<cov::CoverageVector> sample_vectors() {
@@ -83,16 +76,16 @@ TEST(MergeOrder, CoverageTotalsArePermutationInvariantButCurveIsNot) {
   std::vector<std::size_t> order(vectors.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-  auto& map = cov::CoverageMap::instance();
+  obs::RunRecord record;
   const auto run = [&](const std::vector<std::size_t>& ord) {
-    map.reset();
-    for (const auto i : ord) map.merge_scenario(vectors[i]);
+    record = {};
+    for (const auto i : ord) record.merge_scenario({}, vectors[i]);
   };
 
   run(order);
-  const auto seen = map.seen_ids();
-  const auto features = map.features_seen();
-  const auto curve = map.curve();
+  const auto seen = record.seen();
+  const auto features = record.seen().size();
+  const auto curve = record.curve();
   ASSERT_GT(features, 1u);
   ASSERT_EQ(curve.back(), features);
 
@@ -102,18 +95,17 @@ TEST(MergeOrder, CoverageTotalsArePermutationInvariantButCurveIsNot) {
     std::shuffle(order.begin(), order.end(), rng);
     run(order);
     // Final totals never depend on merge order...
-    EXPECT_EQ(map.seen_ids(), seen) << "trial " << trial;
-    EXPECT_EQ(map.features_seen(), features);
-    EXPECT_EQ(map.curve().back(), features);
+    EXPECT_EQ(record.seen(), seen) << "trial " << trial;
+    EXPECT_EQ(record.seen().size(), features);
+    EXPECT_EQ(record.curve().back(), features);
     // ...but the curve's shape generally does: it narrates *when* each
     // feature first appeared, which is why merges must happen in
     // canonical scenario order.
-    some_curve_differed |= map.curve() != curve;
+    some_curve_differed |= record.curve() != curve;
   }
   EXPECT_TRUE(some_curve_differed)
       << "every shuffle produced the canonical curve — the sample "
          "vectors are too uniform to exercise order dependence";
-  map.reset();
 }
 
 TEST(MergeOrder, ShuffledThenCanonicalizedVectorsMatchCanonicalSnapshot) {
@@ -149,16 +141,11 @@ TEST(MergeOrder, SimSectionIsExactlyOneLine) {
   // CI greps '"sim":' out of --metrics-out files and byte-compares the
   // line across jobs/cache laps; that only works if the whole section
   // stays on one line. Same contract as the "cov" section.
-  const bool was = obs::enabled();
-  obs::set_enabled(true);
-  auto& reg = obs::Registry::instance();
-  reg.reset();
-  for (const auto& d : sample_deltas()) reg.merge_scenario(d);
-  const auto line = reg.sim_json();
+  obs::RunRecord record;
+  for (const auto& d : sample_deltas()) record.merge_scenario(d, {});
+  const auto line = record.sim_json();
   EXPECT_EQ(line.find('\n'), std::string::npos);
   EXPECT_EQ(line.rfind("\"sim\":{", 0), 0u);
-  reg.reset();
-  obs::set_enabled(was);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Unit contract of the nidkit::obs registry: ScenarioMetrics canonical
-// form, hot counters behind the enabled() gate, scenario-delta merging,
-// span recording and the line-structured JSON snapshots.
+// Unit contract of nidkit::obs: ScenarioMetrics canonical form, hot
+// counters behind the enabled() gate, RunRecord scenario merging, span
+// recording and the line-structured JSON snapshots.
 #include "obs/obs.hpp"
 
 #include <gtest/gtest.h>
@@ -82,30 +82,44 @@ TEST_F(ObsTest, MergeScenarioAddsCountersAndFeedsHistograms) {
   a.set("ospf.tx_hello", 4);
   b.set("sim.events_executed", 50);
   b.set("ospf.tx_hello", 6);
-  auto& reg = Registry::instance();
-  reg.merge_scenario(a);
-  reg.merge_scenario(b);
+  RunRecord record;
+  record.merge_scenario(a, {});
+  record.merge_scenario(b, {});
 
-  EXPECT_EQ(reg.sim_counter("sim.events_executed"), 150u);
-  EXPECT_EQ(reg.sim_counter("ospf.tx_hello"), 10u);
-  EXPECT_EQ(reg.sim_counter("never.set"), 0u);
+  EXPECT_EQ(record.counter("sim.events_executed"), 150u);
+  EXPECT_EQ(record.counter("ospf.tx_hello"), 10u);
+  EXPECT_EQ(record.counter("never.set"), 0u);
   // Each merged scenario is one histogram observation.
-  const auto json = reg.sim_json();
+  const auto json = record.sim_json();
   EXPECT_NE(json.find("\"sim.events_per_scenario\""), std::string::npos);
   EXPECT_NE(json.find("\"count\":2"), std::string::npos);
+  // ...and one coverage point, even with nothing covered.
+  EXPECT_EQ(record.scenarios(), 2u);
 }
 
 TEST_F(ObsTest, ConvergenceTimeFeedsHistogramNotCounter) {
   ScenarioMetrics m;
   m.set("scenario.convergence_time_us", 42'000);
-  Registry::instance().merge_scenario(m);
+  RunRecord record;
+  record.merge_scenario(m, {});
   // Convergence time is a per-scenario observation, not an additive
   // counter — summing microseconds across scenarios would be nonsense.
-  EXPECT_EQ(Registry::instance().sim_counter("scenario.convergence_time_us"),
-            0u);
-  const auto json = Registry::instance().sim_json();
+  EXPECT_EQ(record.counter("scenario.convergence_time_us"), 0u);
+  const auto json = record.sim_json();
   EXPECT_NE(json.find("\"sim.convergence_time_ms\""), std::string::npos);
   EXPECT_NE(json.find("\"sum\":42"), std::string::npos);
+}
+
+TEST_F(ObsTest, AddIsACounterWithoutACoveragePoint) {
+  RunRecord record;
+  record.add("triage.probes", 7);
+  record.add("triage.probes", 3);
+  EXPECT_EQ(record.counter("triage.probes"), 10u);
+  EXPECT_EQ(record.scenarios(), 0u);
+  EXPECT_TRUE(record.curve().empty());
+  EXPECT_EQ(record.sim_json(),
+            "\"sim\":{\"counters\":{\"triage.probes\":10},"
+            "\"histograms\":{}}");
 }
 
 TEST_F(ObsTest, RecordSpanKeepsEventAndFeedsWallHistogram) {
@@ -118,7 +132,7 @@ TEST_F(ObsTest, RecordSpanKeepsEventAndFeedsWallHistogram) {
   EXPECT_EQ(spans[0].ts_us, 100);
   EXPECT_EQ(spans[0].dur_us, 250);
 
-  const auto json = reg.metrics_json();
+  const auto json = reg.wall_json();
   EXPECT_NE(json.find("\"wall.simulate_us\""), std::string::npos);
   EXPECT_NE(json.find("\"spans\":1"), std::string::npos);
 }
@@ -142,48 +156,45 @@ TEST_F(ObsTest, SpanFinishIsIdempotent) {
 TEST_F(ObsTest, MetricsJsonIsLineStructured) {
   ScenarioMetrics m;
   m.set("sim.events_executed", 7);
-  Registry::instance().merge_scenario(m);
+  cov::CoverageVector v;
+  v.add(cov::chaos(cov::ChaosClass::kLoss));
+  RunRecord record;
+  record.merge_scenario(m, v);
   count(Hot::kEventsExecuted, 7);
 
-  // The whole deterministic section lives on one line so determinism
-  // checks can extract it with a line-oriented tool.
-  const auto sim = Registry::instance().sim_json();
-  EXPECT_EQ(sim.find('\n'), std::string::npos);
+  // Each section lives on one line so determinism checks can extract the
+  // deterministic ones with a line-oriented tool.
+  const auto sim = record.sim_json();
+  const auto cov = record.cov_json();
+  const auto wall = Registry::instance().wall_json();
+  for (const auto* line : {&sim, &cov, &wall})
+    EXPECT_EQ(line->find('\n'), std::string::npos) << *line;
   EXPECT_EQ(sim.rfind("\"sim\":{", 0), 0u);
+  EXPECT_EQ(cov.rfind("\"cov\":{", 0), 0u);
+  EXPECT_EQ(wall.rfind("\"wall\":{", 0), 0u);
+  EXPECT_NE(wall.find("\"process.events_executed\":7"), std::string::npos);
 
-  const auto full = Registry::instance().metrics_json();
-  EXPECT_EQ(full.rfind("{\n\"version\":1,\n", 0), 0u);
-  EXPECT_NE(full.find('\n' + sim + ",\n"), std::string::npos);
-  EXPECT_NE(full.find("\"wall\":{"), std::string::npos);
-  EXPECT_NE(full.find("\"process.events_executed\":7"), std::string::npos);
-}
-
-TEST_F(ObsTest, HeadlineJsonSummarizesBothDomains) {
-  ScenarioMetrics m;
-  m.set("sim.events_executed", 11);
-  m.set("sim.frames_delivered", 5);
-  m.set("ospf.fsm_transitions", 3);
-  m.set("bgp.fsm_transitions", 2);
-  Registry::instance().merge_scenario(m);
-  Registry::instance().record_span("merge", "", 0, 1);
-
-  EXPECT_EQ(Registry::instance().headline_json(),
-            "{\"sim_events\":11,\"sim_frames_delivered\":5,"
-            "\"fsm_transitions\":5,\"spans\":1}");
+  EXPECT_EQ(metrics_json(record), "{\n\"version\":1,\n" + sim + ",\n" + cov +
+                                      ",\n" + wall + "\n}\n");
 }
 
 TEST_F(ObsTest, ResetClearsEveryDomain) {
   ScenarioMetrics m;
   m.set("sim.events_executed", 9);
+  RunRecord record;
+  record.merge_scenario(m, {});
   auto& reg = Registry::instance();
-  reg.merge_scenario(m);
   reg.record_span("simulate", "x", 0, 10);
   count(Hot::kFramesDelivered, 3);
 
+  // The wall registry resets in place; a record resets by being replaced.
   reg.reset();
-  EXPECT_EQ(reg.sim_counter("sim.events_executed"), 0u);
+  record = RunRecord{};
+  EXPECT_EQ(record.counter("sim.events_executed"), 0u);
+  EXPECT_EQ(record.scenarios(), 0u);
   EXPECT_EQ(reg.span_count(), 0u);
   EXPECT_EQ(reg.hot_counter(Hot::kFramesDelivered), 0u);
+  EXPECT_EQ(reg.wall_json().find("\"wall.simulate_us\""), std::string::npos);
 }
 
 }  // namespace

@@ -126,5 +126,28 @@ TEST(Topo, InvalidSpecsRejected) {
   EXPECT_THROW(build(net, Spec{Kind::kRing, 2}), std::invalid_argument);
 }
 
+TEST(Topo, RouterCountIsBoundedByTheAddressPlan) {
+  // Router i gets id b.b.b.b and LAN host .b with b = i + 1: 254 routers
+  // fit, a 255th would take the broadcast address.
+  for (const Kind kind : {Kind::kLinear, Kind::kMesh, Kind::kRing,
+                          Kind::kStar, Kind::kTree, Kind::kLan}) {
+    netsim::Simulator sim;
+    netsim::Network net(sim, 1);
+    EXPECT_EQ(spec_error(Spec{kind, kMaxRouters}), nullptr) << to_string(kind);
+    const auto built = build(net, Spec{kind, kMaxRouters});
+    EXPECT_EQ(built.nodes.size(), 254u);
+    EXPECT_NE(spec_error(Spec{kind, kMaxRouters + 1}), nullptr);
+    EXPECT_THROW(build(net, Spec{kind, kMaxRouters + 1}),
+                 std::invalid_argument)
+        << to_string(kind);
+  }
+  netsim::Simulator sim;
+  netsim::Network net(sim, 1);
+  const auto lan = build(net, Spec{Kind::kLan, kMaxRouters});
+  const auto& members = net.attachments(lan.segments[0]);
+  ASSERT_EQ(members.size(), 254u);
+  EXPECT_EQ(members.back().address.value() & 0xFF, 254u);
+}
+
 }  // namespace
 }  // namespace nidkit::topo
