@@ -34,7 +34,7 @@ namespace nidkit::cache {
 /// Bump on any change to the key derivation or the on-disk encoding. Old
 /// entries then simply miss (different key, and the entry framing echoes
 /// the version); no migration logic is ever needed.
-inline constexpr std::uint32_t kCacheFormatVersion = 4;
+inline constexpr std::uint32_t kCacheFormatVersion = 5;
 
 /// What the cached entry holds. Folded into the key so the two payload
 /// shapes mined from one scenario (full relation set vs. sweep accuracy

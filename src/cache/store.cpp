@@ -29,30 +29,6 @@ constexpr std::size_t kHeaderBytes = 4 + 8 + 8;
 /// its key.
 constexpr std::size_t kMinEntryBytes = 4 + 4 + 16;
 
-void encode_summary(const ScenarioSummary& s, ByteWriter& out) {
-  out.u64(s.routers);
-  out.u64(s.segments);
-  out.u64(s.full_adjacencies);
-  out.u8(s.converged ? 1 : 0);
-  out.u8(s.routes_consistent ? 1 : 0);
-  out.u64(static_cast<std::uint64_t>(s.convergence_time_us));
-  out.u64(s.frames_delivered);
-  out.u64(s.frames_dropped);
-}
-
-ScenarioSummary decode_summary(ByteReader& in) {
-  ScenarioSummary s;
-  s.routers = in.u64();
-  s.segments = in.u64();
-  s.full_adjacencies = in.u64();
-  s.converged = in.u8() != 0;
-  s.routes_consistent = in.u8() != 0;
-  s.convergence_time_us = static_cast<std::int64_t>(in.u64());
-  s.frames_delivered = in.u64();
-  s.frames_dropped = in.u64();
-  return s;
-}
-
 void encode_sweep(const SweepStats& s, ByteWriter& out) {
   out.u64(s.mined_pairs);
   out.u64(s.truth_pairs);
@@ -166,7 +142,6 @@ std::vector<std::uint8_t> encode_entry(const ScenarioKey& key,
   out.u32(kCacheFormatVersion);
   out.bytes(key.digest.bytes);
   out.u8(static_cast<std::uint8_t>(entry.kind));
-  encode_summary(entry.summary, out);
   encode_metrics(entry.metrics, out);
   encode_coverage(entry.coverage, out);
   if (entry.kind == PayloadKind::kMinedRelations)
@@ -183,8 +158,6 @@ std::optional<Entry> decode_entry(const ScenarioKey& expected,
   if (!kind) return std::nullopt;
   Entry entry;
   entry.kind = *kind;
-  entry.summary = decode_summary(in);
-  if (!in.ok()) return std::nullopt;
   auto metrics = decode_metrics(in);
   if (!metrics) return std::nullopt;
   entry.metrics = std::move(*metrics);

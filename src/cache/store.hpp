@@ -38,23 +38,6 @@ namespace nidkit::cache {
 
 inline constexpr const char* kSegmentExtension = ".nids";
 
-/// The simulation-health summary of the run that produced an entry —
-/// ScenarioResult's scalar statistics, preserved so a replayed scenario
-/// can report the same convergence/health numbers the original run did.
-struct ScenarioSummary {
-  std::uint64_t routers = 0;
-  std::uint64_t segments = 0;
-  std::uint64_t full_adjacencies = 0;
-  bool converged = false;
-  bool routes_consistent = false;
-  std::int64_t convergence_time_us = -1'000'000;
-  std::uint64_t frames_delivered = 0;
-  std::uint64_t frames_dropped = 0;
-
-  friend bool operator==(const ScenarioSummary&,
-                         const ScenarioSummary&) = default;
-};
-
 /// Per-scenario accuracy counters cached for tdelay_sweep points. Integer
 /// partials only — precision/recall ratios are derived after the canonical
 /// accumulation, so cached and fresh sweeps agree bit-for-bit.
@@ -70,10 +53,10 @@ struct SweepStats {
 };
 
 /// One cached scenario result. `relations` is meaningful for
-/// kMinedRelations, `sweep` for kSweepStats; the summary is always kept.
+/// kMinedRelations, `sweep` for kSweepStats; metrics and coverage are
+/// always kept.
 struct Entry {
   PayloadKind kind = PayloadKind::kMinedRelations;
-  ScenarioSummary summary;
   mining::RelationSet relations;
   SweepStats sweep;
   /// Deterministic per-scenario metric deltas, preserved so a warm cache

@@ -21,19 +21,6 @@ void fold(const std::vector<cache::Entry>& results, obs::RunRecord* record) {
 
 }  // namespace
 
-cache::ScenarioSummary summarize(const ScenarioResult& run) {
-  cache::ScenarioSummary s;
-  s.routers = run.routers;
-  s.segments = run.segments;
-  s.full_adjacencies = run.full_adjacencies;
-  s.converged = run.converged;
-  s.routes_consistent = run.routes_consistent;
-  s.convergence_time_us = run.convergence_time.count();
-  s.frames_delivered = run.frames_delivered;
-  s.frames_dropped = run.frames_dropped;
-  return s;
-}
-
 std::vector<cache::Entry> run_cached(
     const std::vector<CachedJob>& jobs, std::size_t workers,
     cache::Store* store, cache::PayloadKind kind, std::string_view scheme_id,
@@ -147,7 +134,6 @@ std::vector<cache::Entry> simulate_and_mine(const std::vector<CachedJob>& jobs,
         entry.kind = cache::PayloadKind::kMinedRelations;
         obs::Span sim_span("simulate", job.label);
         const ScenarioResult run = run_scenario(job.scenario);
-        entry.summary = summarize(run);
         entry.metrics = run.metrics;
         entry.coverage = run.coverage;
         sim_span.finish();

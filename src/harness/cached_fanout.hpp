@@ -66,7 +66,4 @@ std::vector<cache::Entry> simulate_and_mine(const std::vector<CachedJob>& jobs,
 /// The store on `dir`, or null when `dir` is empty (caching off).
 std::unique_ptr<cache::Store> open_store(const std::string& dir);
 
-/// Snapshot of a finished run's health statistics for the cached entry.
-cache::ScenarioSummary summarize(const ScenarioResult& run);
-
 }  // namespace nidkit::harness

@@ -220,7 +220,6 @@ std::vector<SweepPoint> tdelay_sweep(const ospf::BehaviorProfile& profile,
         mine_span.finish();
         cache::Entry entry;
         entry.kind = cache::PayloadKind::kSweepStats;
-        entry.summary = summarize(run);
         entry.metrics = run.metrics;
         entry.coverage = run.coverage;
         entry.sweep.mined_pairs = acc.mined;

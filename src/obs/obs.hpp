@@ -27,8 +27,9 @@
 //
 // Cost model: every wall recording operation is behind enabled() — one
 // relaxed atomic bool load. Disabled (the default), the event hot path pays
-// a single predictable branch: no stores, no locks, no allocation (gated by
-// bench_simcore). Enabled, hot counters land in per-thread slots (relaxed
+// a single predictable branch: no stores, no locks, no allocation. Enabled,
+// the hot path still allocates nothing (the AllocBudget LAN-flood tests
+// check both states); hot counters land in per-thread slots (relaxed
 // atomics, never shared between threads), and spans — a handful per
 // scenario, never per event — take a mutex off the hot path. A run without
 // a record folds nothing.

@@ -9,8 +9,8 @@
 // happen in the same sequence and ECMP hop propagation is identical), the
 // candidate list is a binary heap of packed (dist, index) words, and
 // next-hop sets are util::SmallVec. All working storage lives in a
-// caller-owned SpfScratch so repeated recomputes are allocation-free once
-// warm.
+// caller-owned SpfScratch, which stops allocating once warm; a recompute's
+// only allocations are then the output routes' next-hop vectors.
 //
 // `RouteCache` memoizes the kernel's output keyed by the Lsdb's content
 // version plus an age-validity horizon: the earliest simulated instant at
@@ -47,7 +47,7 @@ struct Route {
 
 /// Reusable working storage for the flat SPF kernel. Vectors are cleared
 /// (capacity retained) at the start of every compute, so a warm scratch
-/// makes recomputes allocation-free.
+/// allocates nothing; the output's next-hop vectors still do.
 struct SpfScratch {
   using HopSet = util::SmallVec<RouterId, 4>;
 

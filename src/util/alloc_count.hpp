@@ -1,12 +1,12 @@
 // Global-allocation counter hook.
 //
 // Linking the companion nidkit_alloc_count library replaces the global
-// operator new/delete with counting forwarders. Binaries that need to
-// prove an allocation budget (bench/bench_simcore, the alloc-budget
-// regression test) link it and read the counter around the measured
-// region; everything else never references these symbols and pays
-// nothing. The counter is a relaxed atomic: the simulator hot path is
-// single-threaded, and cross-thread counts only need eventual totals.
+// operator new/delete with counting forwarders. The binary that proves
+// allocation budgets (alloc_budget_tests) links it and reads the counter
+// around the measured region; everything else never references these
+// symbols and pays nothing. The counter is a relaxed atomic: the simulator
+// hot path is single-threaded, and cross-thread counts only need eventual
+// totals.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
 // Format-version migration: segment records carry entries of
-// kCacheFormatVersion 4. Entries from an older format decode as a miss
+// kCacheFormatVersion 5. Entries from an older format decode as a miss
 // (the migration path is "re-simulate and re-store"), compact reports
 // them as version skew instead of corruption, and current-format entries
 // round-trip their coverage bit-for-bit.
@@ -40,8 +40,6 @@ class MigrationTest : public ::testing::Test {
   static Entry covered_entry() {
     Entry entry;
     entry.kind = PayloadKind::kMinedRelations;
-    entry.summary.routers = 2;
-    entry.summary.converged = true;
     entry.metrics.set("sim.events_executed", 7);
     entry.coverage.add(cov::fsm_edge(cov::Proto::kOspf, 0, 1));
     entry.coverage.add(cov::packet_pair(cov::Proto::kOspf, 1, 1));
@@ -80,11 +78,11 @@ class MigrationTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(MigrationTest, FormatVersionIsFour) {
-  // Version 4 moved entries into segment records and keys onto the
-  // scenario's own protocol profile. Bump this (and add a skew case
-  // below) the next time the entry layout changes.
-  EXPECT_EQ(kCacheFormatVersion, 4u);
+TEST_F(MigrationTest, FormatVersionIsFive) {
+  // Version 5 dropped the per-entry run summary, which nothing read.
+  // Bump this (and add a skew case below) the next time the entry layout
+  // changes.
+  EXPECT_EQ(kCacheFormatVersion, 5u);
 }
 
 TEST_F(MigrationTest, CoverageRoundTripsThroughCodec) {
@@ -113,9 +111,12 @@ TEST_F(MigrationTest, CoverageRoundTripsThroughTheStore) {
 TEST_F(MigrationTest, OlderFormatEntryDecodesAsAMiss) {
   const auto key = key_for_seed(3);
   const auto bytes = encode_entry(key, covered_entry());
+  for (const std::uint32_t version : {3u, 4u}) {
+    const auto skewed = with_version(bytes, version);
+    EXPECT_EQ(peek_entry_format(skewed), version);
+    EXPECT_FALSE(decode_entry(key, skewed).has_value());
+  }
   const auto old = with_version(bytes, 3);
-  EXPECT_EQ(peek_entry_format(old), 3u);
-  EXPECT_FALSE(decode_entry(key, old).has_value());
 
   // Through the store: a version-3 record in a segment is a miss, not an
   // error.

@@ -56,11 +56,14 @@ class PackTest : public ::testing::Test {
   static Entry entry_for_seed(std::uint64_t seed) {
     Entry entry;
     entry.kind = PayloadKind::kMinedRelations;
-    entry.summary.routers = seed + 1;
-    entry.summary.converged = true;
     entry.relations.add(kSR, {"LSU", "LSAck"}, SimTime{1s}, seed, seed + 1);
     entry.metrics.set("sim.events_executed", 100 + seed);
     return entry;
+  }
+
+  /// The seed entry_for_seed tagged `entry` with.
+  static std::uint64_t seed_of(const Entry& entry) {
+    return entry.metrics.get("sim.events_executed") - 100;
   }
 
   /// Stores entries for seeds [first, first + n) through one store, so
@@ -132,7 +135,7 @@ TEST_F(PackTest, CompactRoundtripsEveryEntry) {
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const auto entry = store.get(keys[i]);
     ASSERT_TRUE(entry.has_value()) << i;
-    EXPECT_EQ(entry->summary.routers, i + 1);
+    EXPECT_EQ(seed_of(*entry), i);
   }
   EXPECT_EQ(store.counters().pack_hits, keys.size());
 }
@@ -171,11 +174,11 @@ TEST_F(PackTest, TruncatedPackDecodesAsMiss) {
 
   Store store(dir_);
   std::size_t served = 0;
-  for (const auto& key : keys) {
-    const auto entry = store.get(key);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto entry = store.get(keys[i]);
     if (entry) {
       ++served;  // records before the cut still decode
-      EXPECT_TRUE(entry->summary.converged);
+      EXPECT_EQ(seed_of(*entry), i);
     }
   }
   EXPECT_GT(served, 0u);
@@ -201,7 +204,7 @@ TEST_F(PackTest, BitFlippedEntryDecodesAsMissOrCorrect) {
       continue;
     }
     // If it decoded, it must be the right entry for its key.
-    EXPECT_EQ(entry->summary.routers, i + 1) << i;
+    EXPECT_EQ(seed_of(*entry), i) << i;
   }
   EXPECT_GE(misses, 1u);
 }
@@ -387,12 +390,12 @@ TEST_F(PackTest, GetBatchPartitionsAndPreservesOrder) {
   const auto batch = store.get_batch(batch_keys);
   ASSERT_EQ(batch.entries.size(), 4u);
   ASSERT_TRUE(batch.entries[0].has_value());
-  EXPECT_EQ(batch.entries[0]->summary.routers, 4u);  // keys[3]
+  EXPECT_EQ(seed_of(*batch.entries[0]), 3u);  // keys[3]
   ASSERT_TRUE(batch.entries[1].has_value());
-  EXPECT_EQ(batch.entries[1]->summary.routers, 81u);  // seed 80
-  EXPECT_FALSE(batch.entries[2].has_value());         // never stored
+  EXPECT_EQ(seed_of(*batch.entries[1]), 80u);
+  EXPECT_FALSE(batch.entries[2].has_value());  // never stored
   ASSERT_TRUE(batch.entries[3].has_value());
-  EXPECT_EQ(batch.entries[3]->summary.routers, 2u);  // keys[1]
+  EXPECT_EQ(seed_of(*batch.entries[3]), 1u);  // keys[1]
 
   EXPECT_EQ(batch.pack_hits, 2u);
   EXPECT_EQ(batch.misses, 1u);
@@ -450,7 +453,7 @@ TEST_F(PackTest, TwoProcessReaderWriterSmoke) {
       Store store(dir_);
       for (std::size_t i = 0; i < keys.size(); ++i) {
         const auto entry = store.get(keys[i]);
-        if (entry && entry->summary.routers != i + 1) ++wrong;
+        if (entry && seed_of(*entry) != i) ++wrong;
       }
     }
     _exit(wrong == 0 ? 0 : 1);

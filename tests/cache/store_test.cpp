@@ -39,10 +39,6 @@ class StoreTest : public ::testing::Test {
   static Entry sample_entry() {
     Entry entry;
     entry.kind = PayloadKind::kMinedRelations;
-    entry.summary.routers = 3;
-    entry.summary.converged = true;
-    entry.summary.convergence_time_us = 42'000'000;
-    entry.summary.frames_delivered = 123;
     entry.relations.add(kSR, {"LSU", "LSAck"}, SimTime{1s}, 5, 6);
     entry.metrics.set("sim.events_executed", 321);
     entry.metrics.set("ospf.tx_hello", 12);
@@ -78,7 +74,7 @@ TEST_F(StoreTest, MissThenPutThenMemoryHit) {
   store.put(key, sample_entry());
   const auto back = store.get(key);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->summary, sample_entry().summary);
+  EXPECT_EQ(back->metrics, sample_entry().metrics);
   EXPECT_TRUE(back->relations.has(kSR, "LSU", "LSAck"));
   // Served from the bytes this store put, not from its (older) index.
   EXPECT_EQ(store.counters().hits, 1u);
@@ -96,7 +92,6 @@ TEST_F(StoreTest, PersistsAcrossStoreInstances) {
   const auto back = fresh.get(key);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(fresh.counters().pack_hits, 1u);
-  EXPECT_EQ(back->summary, sample_entry().summary);
   // The scenario's obs delta rides along so cache hits can replay it.
   EXPECT_EQ(back->metrics, sample_entry().metrics);
   EXPECT_EQ(back->metrics.get("sim.events_executed"), 321u);

@@ -2,7 +2,8 @@
 //
 // The zero-allocation contract: once warm (timer slab grown, event-heap
 // vector at capacity, payload encoded), scheduling a timer, re-arming it,
-// and fanning a frame out across a LAN must not touch the heap at all.
+// and fanning a frame out across a LAN must not touch the heap at all —
+// with the wall registry on or off, and with a cleared TraceLog attached.
 // This binary links nidkit_alloc_count, which replaces the global operator
 // new/delete with counting versions, so the assertion below is exact — one
 // stray allocation per event fails the build's test suite, not a profiler
@@ -14,6 +15,8 @@
 
 #include "netsim/network.hpp"
 #include "netsim/simulator.hpp"
+#include "obs/obs.hpp"
+#include "trace/trace.hpp"
 #include "util/alloc_count.hpp"
 
 namespace nidkit::netsim {
@@ -49,51 +52,83 @@ TEST(AllocBudget, SteadyStateTimerChurnIsAllocationFree) {
       << "timer scheduling allocated on the steady-state path";
 }
 
-struct HelloFlood {
-  Simulator& sim;
-  Network& net;
-  Frame proto;         // pre-encoded once, shared by refcount per send
-  NodeId sender;
-  std::uint64_t remaining;
+/// An 8-router LAN whose first member multicasts one 100-byte frame every
+/// 10 ms; every member counts its deliveries.
+struct LanFlood {
+  Simulator sim;
+  Network net{sim, /*seed=*/7};
+  std::vector<NodeId> members;
+  Frame proto;  // pre-encoded once, shared by refcount per send
+  std::uint64_t remaining = 0;
+  std::uint64_t delivered = 0;
+
+  LanFlood() {
+    for (int i = 0; i < 8; ++i) members.push_back(net.add_node("r"));
+    net.add_lan(members);
+    for (const NodeId n : members)
+      net.set_receive_handler(n, [this](IfaceIndex, const Frame&) {
+        ++delivered;
+      });
+    proto.dst = Ipv4Addr{0xe0000005};  // 224.0.0.5: LAN-wide fan-out
+    proto.protocol = 253;
+    proto.payload = std::vector<std::uint8_t>(100, 0xab);
+  }
+
+  void tick() {
+    if (remaining == 0) return;
+    --remaining;
+    sim.schedule(10ms, [this] { tick(); });
+    net.send(members[0], 0, proto);  // Frame copy = refcount bump
+  }
+
+  /// Floods `sends` frames to completion; returns the heap allocations
+  /// made meanwhile.
+  std::uint64_t flood(std::uint64_t sends) {
+    const auto before = util::allocation_count();
+    remaining = sends;
+    tick();
+    while (sim.step()) {
+    }
+    return util::allocation_count() - before;
+  }
 };
 
-void flood_tick(HelloFlood& st) {
-  if (st.remaining == 0) return;
-  --st.remaining;
-  st.sim.schedule(10ms, [&st] { flood_tick(st); });
-  st.net.send(st.sender, 0, st.proto);  // Frame copy = refcount bump
-}
-
 TEST(AllocBudget, SteadyStateHelloFloodIsAllocationFree) {
-  Simulator sim;
-  Network net(sim, /*seed=*/7);
-  std::vector<NodeId> members;
-  for (int i = 0; i < 8; ++i) members.push_back(net.add_node("r"));
-  net.add_lan(members);
-
-  std::uint64_t delivered = 0;
-  for (const NodeId n : members)
-    net.set_receive_handler(n, [&delivered](IfaceIndex, const Frame&) {
-      ++delivered;
-    });
-
-  HelloFlood st{sim, net, Frame{}, members[0], 4'000};
-  st.proto.dst = Ipv4Addr{0xe0000005};  // 224.0.0.5: LAN-wide fan-out
-  st.proto.protocol = 253;
-  st.proto.payload = std::vector<std::uint8_t>(100, 0xab);
-
-  flood_tick(st);
+  LanFlood lan;
   // Warm-up: the delivery heap reaches its high-water mark within a few
   // ticks (7 in-flight deliveries + 1 timer).
-  while (st.remaining > 2'000 && sim.step()) {
-  }
-  const auto before = util::allocation_count();
-  while (sim.step()) {
-  }
-  const auto after = util::allocation_count();
-  EXPECT_EQ(after - before, 0u)
+  lan.flood(2'000);
+  EXPECT_EQ(lan.flood(2'000), 0u)
       << "frame delivery allocated on the steady-state path";
-  EXPECT_GT(delivered, 10'000u);  // 2000 sends x 7 receivers measured
+  EXPECT_EQ(lan.delivered, 28'000u);  // 4000 sends x 7 receivers
+}
+
+TEST(AllocBudget, ObsEnabledHelloFloodIsAllocationFree) {
+  // With the wall registry on, every hook is a relaxed add into this
+  // thread's hot-counter block, which the warm-up attaches.
+  obs::set_enabled(true);
+  LanFlood lan;
+  lan.flood(2'500);
+  const auto allocs = lan.flood(20'000);
+  obs::set_enabled(false);
+  EXPECT_EQ(allocs, 0u) << "an enabled registry allocated per event";
+  EXPECT_EQ(lan.delivered, 157'500u);  // 140,000 measured
+}
+
+TEST(AllocBudget, RetracedHelloFloodReusesTheTraceArena) {
+  // A cleared TraceLog refills into the arena pages it already owns, so a
+  // flood no larger than the one that grew the arena allocates nothing.
+  // (A flood larger than the fill grows the arena again: after a 2,500-send
+  // fill, 20,000 sends grow it 5 times.)
+  trace::TraceLog log;  // outlives the network that taps into it
+  LanFlood lan;
+  log.attach(lan.net);
+  lan.flood(20'000);
+  log.clear();
+  const std::uint64_t before = lan.delivered;
+  EXPECT_EQ(lan.flood(20'000), 0u) << "re-tracing allocated after clear()";
+  EXPECT_EQ(lan.delivered - before, 140'000u);
+  EXPECT_EQ(log.size(), 160'000u);  // one send + 7 receive records per frame
 }
 
 TEST(AllocBudget, CancelledTimersRecycleTheirSlots) {

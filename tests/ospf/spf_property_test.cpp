@@ -1,7 +1,9 @@
 // SPF equivalence property suite: the flat kernel (and the memoizing
 // RouteCache on top of it) must produce routes identical to the retained
 // naive reference implementation on randomized topologies, after every
-// LSDB mutation, and across MaxAge expiry horizons.
+// LSDB mutation, and across MaxAge expiry horizons — and on three fixed
+// shapes sized like the larger audits (a dense mesh, a long ring, and a
+// two-tier ISP with a LAN and externals).
 //
 // The generator deliberately produces the awkward cases the kernel's
 // dedup/collection phase must honor: one-sided links (bidirectional check),
@@ -121,6 +123,25 @@ struct RandomTopology {
   }
 };
 
+/// A p2p link both ends advertise, at one metric.
+void add_p2p(std::vector<std::vector<RouterLink>>& links, std::size_t a,
+             std::size_t b, std::uint16_t metric) {
+  links[a].push_back({Ipv4Addr{rid(b).value()}, Ipv4Addr{},
+                      RouterLinkType::kPointToPoint, metric});
+  links[b].push_back({Ipv4Addr{rid(a).value()}, Ipv4Addr{},
+                      RouterLinkType::kPointToPoint, metric});
+}
+
+/// Installs every router's LSA, each with a host stub route 10.1.0.<i>/32.
+void install_with_stubs(Lsdb& db, std::vector<std::vector<RouterLink>> links) {
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    links[i].push_back({Ipv4Addr{10, 1, 0, static_cast<std::uint8_t>(i)},
+                        Ipv4Addr{255, 255, 255, 255}, RouterLinkType::kStub,
+                        1});
+    db.install(router_lsa(rid(i), links[i]), 0s);
+  }
+}
+
 }  // namespace
 
 TEST(SpfProperty, FlatKernelMatchesReferenceOnRandomTopologiesWithChurn) {
@@ -230,6 +251,64 @@ TEST(SpfProperty, FlatKernelMatchesReferenceOnRandomTopologiesWithChurn) {
       ASSERT_NO_FATAL_FAILURE(
           expect_equivalent(db, n, now, scratch, "after aging"));
     }
+  }
+}
+
+TEST(SpfProperty, FlatKernelMatchesReferenceOnBenchShapes) {
+  SpfScratch scratch;
+  const SimTime now = 30s;
+
+  // A dense, ECMP-heavy full mesh.
+  {
+    std::vector<std::vector<RouterLink>> links(24);
+    for (std::size_t a = 0; a < 24; ++a)
+      for (std::size_t b = a + 1; b < 24; ++b) add_p2p(links, a, b, 10);
+    Lsdb db;
+    install_with_stubs(db, std::move(links));
+    ASSERT_NO_FATAL_FAILURE(expect_equivalent(db, 24, now, scratch, "mesh-24"));
+  }
+
+  // A sparse ring with long paths and uneven metrics.
+  {
+    std::vector<std::vector<RouterLink>> links(48);
+    for (std::size_t i = 0; i < 48; ++i)
+      add_p2p(links, i, (i + 1) % 48, 1 + static_cast<std::uint16_t>(i % 3));
+    Lsdb db;
+    install_with_stubs(db, std::move(links));
+    ASSERT_NO_FATAL_FAILURE(expect_equivalent(db, 48, now, scratch, "ring-48"));
+  }
+
+  // A two-tier ISP: an 8-router core mesh, 3 edge routers per core router,
+  // a LAN joining the first three cores, and 8 externals at the last core.
+  {
+    constexpr std::size_t kCore = 8;
+    constexpr std::size_t kEdge = 3;
+    constexpr std::size_t kRouters = kCore + kCore * kEdge;
+    std::vector<std::vector<RouterLink>> links(kRouters);
+    for (std::size_t a = 0; a < kCore; ++a)
+      for (std::size_t b = a + 1; b < kCore; ++b) add_p2p(links, a, b, 5);
+    for (std::size_t c = 0; c < kCore; ++c)
+      for (std::size_t e = 0; e < kEdge; ++e)
+        add_p2p(links, c, kCore + c * kEdge + e, 20);
+    const Ipv4Addr dr_addr{10, 200, 0, 1};
+    std::vector<RouterId> attached;
+    for (std::size_t c = 0; c < 3; ++c) {
+      attached.push_back(rid(c));
+      const auto host = static_cast<std::uint8_t>(c + 1);
+      links[c].push_back({dr_addr, Ipv4Addr{10, 200, 0, host},
+                          RouterLinkType::kTransit, 1});
+    }
+    Lsdb db;
+    install_with_stubs(db, std::move(links));
+    db.install(network_lsa(dr_addr, rid(0), Ipv4Addr{255, 255, 255, 0},
+                           attached),
+               0s);
+    for (std::uint8_t e = 0; e < 8; ++e)
+      db.install(external_lsa(Ipv4Addr{203, 0, e, 0}, rid(kCore - 1),
+                              10u + e),
+                 0s);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_equivalent(db, kRouters, now, scratch, "isp-32"));
   }
 }
 

@@ -1,8 +1,7 @@
 // The original std::map/std::set SPF — the pre-flat-kernel code, kept
 // verbatim as the equivalence oracle for the flat kernel in
 // src/ospf/spf.cpp. It is test support, not library code:
-// tests/ospf/spf_property_test.cpp checks the kernel against it and
-// bench/micro_spf times the kernel against it.
+// tests/ospf/spf_property_test.cpp checks the kernel against it.
 #pragma once
 
 #include <vector>
@@ -11,7 +10,7 @@
 
 namespace nidkit::ospf {
 
-/// Allocates heavily; use only in tests and benchmarks.
+/// Allocates heavily; use only in tests.
 std::vector<Route> compute_routes_reference(const Lsdb& lsdb, RouterId self,
                                             SimTime now);
 

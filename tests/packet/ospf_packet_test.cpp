@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
 
@@ -266,6 +268,37 @@ TEST(OspfCodec, FuzzDecodeIsTotal) {
       EXPECT_EQ(encode(out.value()).size(), junk.size());
     }
   }
+  // Also fuzz behind a valid header — version 2, type 1-5, length = size,
+  // AuType 0/1 and a correct checksum — so the body decoders run.
+  std::size_t decoded = 0;
+  std::set<std::uint8_t> rejected_types;
+  for (int i = 0; i < 20000; ++i) {
+    std::vector<std::uint8_t> wire(kOspfHeaderSize + rng.uniform(64));
+    for (auto& b : wire) b = static_cast<std::uint8_t>(rng.uniform(256));
+    wire[0] = kOspfVersion;
+    wire[1] = static_cast<std::uint8_t>(1 + rng.uniform(5));
+    wire[2] = static_cast<std::uint8_t>(wire.size() >> 8);
+    wire[3] = static_cast<std::uint8_t>(wire.size());
+    wire[14] = 0;
+    wire[15] = static_cast<std::uint8_t>(rng.uniform(2));
+    // RFC 1071 over the packet with the checksum and auth bytes zeroed.
+    std::vector<std::uint8_t> summed = wire;
+    std::fill(summed.begin() + 12, summed.begin() + 14, 0);
+    std::fill(summed.begin() + 16, summed.begin() + 24, 0);
+    const std::uint16_t csum = internet_checksum(summed);
+    wire[12] = static_cast<std::uint8_t>(csum >> 8);
+    wire[13] = static_cast<std::uint8_t>(csum);
+    auto out = decode(wire);
+    if (!out.ok()) {
+      EXPECT_NE(out.error(), "bad header checksum");
+      rejected_types.insert(wire[1]);
+      continue;
+    }
+    ++decoded;
+    EXPECT_EQ(encode(out.value()).size(), wire.size());
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_EQ(rejected_types.size(), 5u) << "a body decoder was never reached";
 }
 
 /// Property: every packet type round-trips bit-exactly (encode∘decode∘
