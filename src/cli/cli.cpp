@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string_view>
 
@@ -159,6 +160,39 @@ std::optional<ospf::BehaviorProfile> ospf_profile_by_name(
   return std::nullopt;
 }
 
+/// Writes the usage error for an entry `flag`'s list names twice: the
+/// repeat would run, and count, the same scenarios again.
+void report_repeat(const char* flag, const std::string& token,
+                   std::ostream& err) {
+  err << flag << " entry '" << token
+      << "' repeats an earlier one; each may appear once\n";
+}
+
+/// The OSPF implementations --impls names (default frr,bird): each known,
+/// each named once, at least two. Nullopt after writing why to `err`.
+std::optional<std::vector<ospf::BehaviorProfile>> ospf_impls_from(
+    const Args& args, const std::string& command, std::ostream& err) {
+  std::vector<ospf::BehaviorProfile> impls;
+  std::set<std::string> seen;
+  for (const auto& name : split_list(args.get("impls", "frr,bird"))) {
+    const auto p = ospf_profile_by_name(name);
+    if (!p) {
+      err << "unknown OSPF implementation: " << name << "\n";
+      return std::nullopt;
+    }
+    if (!seen.insert(name).second) {
+      report_repeat("--impls", name, err);
+      return std::nullopt;
+    }
+    impls.push_back(*p);
+  }
+  if (impls.size() < 2) {
+    err << command << " needs at least two implementations\n";
+    return std::nullopt;
+  }
+  return impls;
+}
+
 std::optional<mining::KeyScheme> scheme_by_name(const std::string& name) {
   // Short CLI spellings and the schemes' own names are both accepted —
   // triage's repro command lines quote the latter.
@@ -220,6 +254,9 @@ constexpr long long kMaxDurationS = 3'600;
 /// Each churn event originates its own /24 from one octet of the address
 /// plan, so the 257th would repeat the first.
 constexpr std::size_t kMaxChurnTimes = 256;
+/// Every scenario result (about 2.4 KB encoded per seed, topology and
+/// implementation) stays in memory until the merge.
+constexpr std::size_t kMaxSeeds = 4'096;
 
 /// The experiment config the flags describe, recording into `record`
 /// (null: nothing recorded).
@@ -235,9 +272,14 @@ std::optional<harness::ExperimentConfig> config_from(const Args& args,
     config.topologies = topo::extended_topologies();
   } else {
     config.topologies.clear();
+    std::set<std::string> seen;
     for (const auto& name : split_list(topos)) {
       const auto spec = topo_by_name(name, err);
       if (!spec) return std::nullopt;
+      if (!seen.insert(spec->name()).second) {
+        report_repeat("--topos", name, err);
+        return std::nullopt;
+      }
       config.topologies.push_back(*spec);
     }
   }
@@ -270,6 +312,7 @@ std::optional<harness::ExperimentConfig> config_from(const Args& args,
   }
   if (args.has("seeds")) {
     config.seeds.clear();
+    std::set<std::uint64_t> seen;
     for (const auto& s : split_list(args.get("seeds", ""))) {
       const auto seed = parse_whole<std::uint64_t>(s);
       if (!seed) {
@@ -277,10 +320,20 @@ std::optional<harness::ExperimentConfig> config_from(const Args& args,
             << "': --seeds takes whole numbers separated by commas\n";
         return std::nullopt;
       }
+      if (!seen.insert(*seed).second) {
+        report_repeat("--seeds", s, err);
+        return std::nullopt;
+      }
       config.seeds.push_back(*seed);
     }
     if (config.seeds.empty()) {
       err << "--seeds must name at least one seed\n";
+      return std::nullopt;
+    }
+    if (config.seeds.size() > kMaxSeeds) {
+      err << "--seeds takes at most " << kMaxSeeds
+          << " seeds: every scenario result stays in memory until the "
+             "merge\n";
       return std::nullopt;
     }
   }
@@ -368,25 +421,14 @@ int cmd_audit(const Args& args, obs::RunRecord* record, std::ostream& out,
   if (!config) return 2;
 
   if (protocol == "ospf") {
-    std::vector<ospf::BehaviorProfile> impls;
-    for (const auto& name : split_list(args.get("impls", "frr,bird"))) {
-      const auto p = ospf_profile_by_name(name);
-      if (!p) {
-        err << "unknown OSPF implementation: " << name << "\n";
-        return 2;
-      }
-      impls.push_back(*p);
-    }
-    if (impls.size() < 2) {
-      err << "audit needs at least two implementations\n";
-      return 2;
-    }
+    const auto impls = ospf_impls_from(args, "audit", err);
+    if (!impls) return 2;
     const auto scheme = scheme_by_name(args.get("scheme", "type"));
     if (!scheme) {
       err << "unknown scheme: " << args.get("scheme", "type") << "\n";
       return 2;
     }
-    const auto audit = harness::audit_ospf(impls, *config, *scheme);
+    const auto audit = harness::audit_ospf(*impls, *config, *scheme);
     if (!write_stats_file(args, audit.exec, err)) return 2;
     if (args.get("format", "text") == "json") {
       out << detect::to_json(audit.named(), audit.discrepancies) << "\n";
@@ -578,19 +620,8 @@ int cmd_triage(const Args& args, obs::RunRecord* record, std::ostream& out,
 
   harness::TriageConfig tc;
   tc.experiment = *config;
-  std::vector<ospf::BehaviorProfile> impls;
-  for (const auto& name : split_list(args.get("impls", "frr,bird"))) {
-    const auto p = ospf_profile_by_name(name);
-    if (!p) {
-      err << "unknown OSPF implementation: " << name << "\n";
-      return 2;
-    }
-    impls.push_back(*p);
-  }
-  if (impls.size() < 2) {
-    err << "triage needs at least two implementations\n";
-    return 2;
-  }
+  const auto impls = ospf_impls_from(args, "triage", err);
+  if (!impls) return 2;
   // gtsn is the triage default (unlike audit's "type"): its cells carry
   // the +gtSN refinement the injection stimulus table maps directly.
   const auto scheme = scheme_by_name(args.get("scheme", "gtsn"));
@@ -604,7 +635,7 @@ int cmd_triage(const Args& args, obs::RunRecord* record, std::ostream& out,
   if (const auto n = args.get_int("max-incidents"))
     tc.max_incidents = static_cast<std::size_t>(*n);
 
-  const auto result = harness::triage_ospf(impls, tc);
+  const auto result = harness::triage_ospf(*impls, tc);
   if (!write_stats_file(args, result.exec, err)) return 2;
   const std::string report = harness::triage_report_json(result);
   const std::string report_out = args.get("report-out", "");

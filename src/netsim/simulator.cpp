@@ -13,7 +13,7 @@ std::uint32_t Simulator::acquire_slot() {
     free_slots_.pop_back();
     return slot;
   }
-  slots_.push_back(TimerSlot{});
+  slots_.emplace_back();
   // The freelist can never hold more entries than the slab has slots, so
   // matching its capacity here keeps release_slot allocation-free even
   // when every in-flight timer drains back at once.
@@ -23,7 +23,8 @@ std::uint32_t Simulator::acquire_slot() {
 
 void Simulator::release_slot(std::uint32_t slot) {
   auto& s = slots_[slot];
-  ++s.generation;  // invalidate outstanding handles
+  s.action = Action{};  // a skipped (cancelled) action dies here
+  ++s.generation;       // invalidate outstanding handles
   s.cancelled = false;
   free_slots_.push_back(slot);
 }
@@ -31,11 +32,12 @@ void Simulator::release_slot(std::uint32_t slot) {
 TimerHandle Simulator::schedule_at(SimTime when, Action action) {
   assert(when >= now_ && "cannot schedule into the past");
   const std::uint32_t slot = acquire_slot();
-  const std::uint32_t generation = slots_[slot].generation;
-  heap_.push_back(Event{when, next_seq_++, slot, std::move(action)});
+  TimerSlot& s = slots_[slot];
+  s.action = std::move(action);
+  heap_.push_back(Event{when, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   obs::count(obs::Hot::kTimersScheduled);
-  return TimerHandle{this, slot, generation};
+  return TimerHandle{this, slot, s.generation};
 }
 
 TimerHandle Simulator::schedule(SimDuration delay, Action action) {
@@ -45,15 +47,22 @@ TimerHandle Simulator::schedule(SimDuration delay, Action action) {
 bool Simulator::step() {
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
+    const Event ev = heap_.back();
     heap_.pop_back();
-    const bool cancelled = slots_[ev.slot].cancelled;
+    TimerSlot& s = slots_[ev.slot];
+    if (s.cancelled) {
+      release_slot(ev.slot);
+      continue;
+    }
+    // Move the action out before its slot is freed: running it may
+    // schedule events, which can reuse the slot or grow (and move) the
+    // slab.
+    Action action = std::move(s.action);
     release_slot(ev.slot);
-    if (cancelled) continue;
     now_ = ev.when;
     ++executed_;
     obs::count(obs::Hot::kEventsExecuted);
-    ev.action();
+    action();
     return true;
   }
   return false;

@@ -8,12 +8,15 @@
 //
 // The hot path is allocation-free at steady state: actions live in
 // util::InlineAction's small buffer (no heap for any closure the engines
-// create), and timer bookkeeping uses a slab of generation-counted slots
+// create), and each one sits in a slab of generation-counted slots
 // recycled through a freelist, so schedule/cancel never allocate once the
-// slab and event heap have grown to the workload's high-water mark.
+// slab and event heap have grown to the workload's high-water mark. The
+// heap itself orders 24-byte keys that name their slot, so a sift never
+// moves an action.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "util/inline_action.hpp"
@@ -91,20 +94,24 @@ class Simulator {
  private:
   friend class TimerHandle;
 
-  /// Cancellation state shared between a queued event and its handle. The
-  /// generation counter bumps every time the slot is recycled, so a stale
-  /// handle (event already fired) can never cancel the slot's next tenant.
+  /// A queued event's action and the cancellation state it shares with
+  /// its handle. The generation counter bumps every time the slot is
+  /// recycled, so a stale handle (event already fired) can never cancel the
+  /// slot's next tenant. The action stays here, not in the heap, so heap
+  /// sifts never relocate it.
   struct TimerSlot {
+    Action action;
     std::uint32_t generation = 0;
     bool cancelled = false;
   };
 
+  /// Heap key: execution order is (when, seq); `slot` holds the action.
   struct Event {
     SimTime when;
     std::uint64_t seq;
     std::uint32_t slot;
-    Action action;
   };
+  static_assert(sizeof(Event) == 24 && std::is_trivially_copyable_v<Event>);
   /// Heap comparator: the "largest" element (heap front) is the earliest
   /// (time, seq) — identical ordering to the previous std::priority_queue.
   struct Later {
@@ -121,8 +128,7 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   /// Binary heap over a plain vector (std::push_heap/pop_heap) rather than
-  /// std::priority_queue: pop moves the move-only Action out instead of
-  /// copying, and the backing storage is reusable and reservable.
+  /// std::priority_queue: the backing storage is reusable and reservable.
   std::vector<Event> heap_;
   std::vector<TimerSlot> slots_;
   std::vector<std::uint32_t> free_slots_;

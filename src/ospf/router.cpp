@@ -139,21 +139,24 @@ void Router::send_packet(OspfInterface& oi, PacketBody body, Ipv4Addr dst,
                          std::uint64_t cause) {
   OspfPacket pkt = make_packet(config_.router_id, config_.area, std::move(body));
   netsim::Frame frame;
+  tx_buf_.clear();
   if (!config_.md5_key.empty()) {
     pkt.header.au_type = 2;
     pkt.header.md5_key_id = config_.md5_key_id;
     pkt.header.md5_seq = ++crypto_seq_;
-    frame.payload = encode_md5(
-        pkt, {reinterpret_cast<const std::uint8_t*>(config_.md5_key.data()),
-              config_.md5_key.size()});
+    encode_md5(pkt,
+               {reinterpret_cast<const std::uint8_t*>(config_.md5_key.data()),
+                config_.md5_key.size()},
+               tx_buf_);
   } else {
     if (!config_.auth_password.empty()) {
       pkt.header.au_type = 1;
       const auto n = std::min<std::size_t>(8, config_.auth_password.size());
       std::copy_n(config_.auth_password.begin(), n, pkt.header.auth.begin());
     }
-    frame.payload = encode(pkt);
+    encode(pkt, tx_buf_);
   }
+  frame.payload = util::SharedBytes(tx_buf_.view());
   frame.dst = dst;
   frame.protocol = kIpProtoOspf;
   frame.caused_by = cause;

@@ -299,6 +299,9 @@ class Router {
   /// and the highest sequence accepted per sender (anti-replay).
   std::uint32_t crypto_seq_ = 0;
   std::map<RouterId, std::uint32_t> crypto_seq_seen_;
+  /// Encode buffer reused by every send: each frame's payload cell is
+  /// copied from it, so encoding a send allocates only that cell.
+  ByteWriter tx_buf_;
   /// Memoized SPF output (routes() is const; the cache is bookkeeping).
   mutable RouteCache route_cache_;
   Stats stats_;

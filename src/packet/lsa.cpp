@@ -1,5 +1,6 @@
 #include "packet/lsa.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/checksum.hpp"
@@ -87,6 +88,7 @@ Result<LsaBody> decode_body(LsaType type, std::span<const std::uint8_t> raw) {
       b.flags = r.u8();
       r.skip(1);
       const std::uint16_t n = r.u16();
+      b.links.reserve(std::min<std::size_t>(n, r.remaining() / 12));
       for (std::uint16_t i = 0; i < n; ++i) {
         RouterLink link;
         link.link_id = Ipv4Addr{r.u32()};
@@ -105,6 +107,7 @@ Result<LsaBody> decode_body(LsaType type, std::span<const std::uint8_t> raw) {
     case LsaType::kNetwork: {
       NetworkLsaBody b;
       b.network_mask = Ipv4Addr{r.u32()};
+      b.attached_routers.reserve(r.remaining() / 4);
       while (r.ok() && r.remaining() >= 4) b.attached_routers.push_back(RouterId{r.u32()});
       if (!r.ok() || r.remaining() != 0)
         return fail("malformed network-LSA body");
@@ -134,23 +137,29 @@ Result<LsaBody> decode_body(LsaType type, std::span<const std::uint8_t> raw) {
   return fail("unreachable LSA type");
 }
 
+/// This thread's scratch writer for checksumming re-encodes. Every
+/// received LSU re-encodes each LSA it carries, so reusing one buffer keeps
+/// that off the heap once it has grown to the longest LSA.
+ByteWriter& scratch_writer() {
+  thread_local ByteWriter w;
+  w.clear();
+  return w;
+}
+
 }  // namespace
 
 void Lsa::finalize() {
-  ByteWriter body_w;
-  encode_body(body, body_w);
-  header.length =
-      static_cast<std::uint16_t>(kLsaHeaderSize + body_w.size());
-
   // The Fletcher checksum covers the LSA minus the 2-byte age field, with
-  // the checksum field (offset 14 after stripping age) zeroed.
-  ByteWriter full;
+  // the checksum field (offset 14 after stripping age) zeroed and the
+  // length field (offset 18 with age) already final.
+  ByteWriter& full = scratch_writer();
   LsaHeader tmp = header;
   tmp.checksum = 0;
   encode_header(tmp, full);
-  full.bytes(body_w.view());
-  const auto view = full.view();
-  header.checksum = fletcher_checksum(view.subspan(2), 14);
+  encode_body(body, full);
+  header.length = static_cast<std::uint16_t>(full.size());
+  full.patch_u16(18, header.length);
+  header.checksum = fletcher_checksum(full.view().subspan(2), 14);
 }
 
 void Lsa::encode(ByteWriter& w) const {
@@ -159,10 +168,9 @@ void Lsa::encode(ByteWriter& w) const {
 }
 
 bool Lsa::checksum_ok() const {
-  ByteWriter full;
+  ByteWriter& full = scratch_writer();
   encode(full);
-  const auto view = full.view();
-  return fletcher_checksum_ok(view.subspan(2));
+  return fletcher_checksum_ok(full.view().subspan(2));
 }
 
 Result<Lsa> Lsa::decode(ByteReader& r) {

@@ -127,6 +127,7 @@ Result<PacketBody> decode_body(PacketType type,
       b.backup_designated_router = Ipv4Addr{r.u32()};
       if (!r.ok()) return fail("truncated hello");
       if (r.remaining() % 4 != 0) return fail("ragged hello neighbor list");
+      b.neighbors.reserve(r.remaining() / 4);
       while (r.remaining() >= 4) b.neighbors.push_back(RouterId{r.u32()});
       return PacketBody{std::move(b)};
     }
@@ -139,6 +140,7 @@ Result<PacketBody> decode_body(PacketType type,
       if (!r.ok()) return fail("truncated DBD");
       if (r.remaining() % kLsaHeaderSize != 0)
         return fail("ragged DBD header list");
+      b.lsa_headers.reserve(r.remaining() / kLsaHeaderSize);
       while (r.remaining() >= kLsaHeaderSize) {
         auto h = decode_lsa_header(r);
         if (!h.ok()) return fail(h.error());
@@ -149,6 +151,7 @@ Result<PacketBody> decode_body(PacketType type,
     case PacketType::kLsRequest: {
       LsRequestBody b;
       if (r.remaining() % 12 != 0) return fail("ragged LSR list");
+      b.requests.reserve(r.remaining() / 12);
       while (r.remaining() >= 12) {
         LsRequestEntry e;
         const std::uint32_t t = r.u32();
@@ -165,6 +168,9 @@ Result<PacketBody> decode_body(PacketType type,
       LsUpdateBody b;
       const std::uint32_t n = r.u32();
       if (!r.ok()) return fail("truncated LSU count");
+      // Every LSA is at least a header long, so the bytes left bound how
+      // many can follow; a lying count field cannot force a huge reserve.
+      b.lsas.reserve(std::min<std::size_t>(n, r.remaining() / kLsaHeaderSize));
       for (std::uint32_t i = 0; i < n; ++i) {
         auto lsa = Lsa::decode(r);
         if (!lsa.ok()) return fail(lsa.error());
@@ -177,6 +183,7 @@ Result<PacketBody> decode_body(PacketType type,
       LsAckBody b;
       if (r.remaining() % kLsaHeaderSize != 0)
         return fail("ragged LSAck header list");
+      b.lsa_headers.reserve(r.remaining() / kLsaHeaderSize);
       while (r.remaining() >= kLsaHeaderSize) {
         auto h = decode_lsa_header(r);
         if (!h.ok()) return fail(h.error());
@@ -199,8 +206,8 @@ OspfPacket make_packet(RouterId router, AreaId area, PacketBody body) {
   return pkt;
 }
 
-std::vector<std::uint8_t> encode(const OspfPacket& pkt) {
-  ByteWriter w(64);
+void encode(const OspfPacket& pkt, ByteWriter& w) {
+  const std::size_t start = w.size();
   w.u8(pkt.header.version);
   w.u8(static_cast<std::uint8_t>(pkt.header.type));
   w.u16(0);  // length, patched below
@@ -210,37 +217,51 @@ std::vector<std::uint8_t> encode(const OspfPacket& pkt) {
   w.u16(pkt.header.au_type);
   w.zeros(8);  // authentication field (header bytes 16-23), filled last
   encode_body(pkt.body, w);
-  w.patch_u16(2, static_cast<std::uint16_t>(w.size()));
+  const auto length = static_cast<std::uint16_t>(w.size() - start);
+  w.patch_u16(start + 2, length);
   // §D.4: the checksum covers the whole packet with the authentication
   // field excluded — equivalently, with those 8 bytes zero (zeros add
   // nothing to a one's-complement sum). The buffer is in exactly that
   // state here.
-  const std::uint16_t csum = internet_checksum(w.view());
-  w.patch_u16(12, csum);
+  const std::uint16_t csum = internet_checksum(w.view().subspan(start));
+  w.patch_u16(start + 12, csum);
   // Only now does the password (AuType 1) land in the auth field.
-  for (std::size_t i = 0; i < 8; ++i) w.data()[16 + i] = pkt.header.auth[i];
+  std::copy(pkt.header.auth.begin(), pkt.header.auth.end(),
+            w.data().begin() + static_cast<std::ptrdiff_t>(start + 16));
+}
+
+std::vector<std::uint8_t> encode(const OspfPacket& pkt) {
+  ByteWriter w(64);
+  encode(pkt, w);
   return w.take();
 }
 
 namespace {
 
-/// MD5 authentication input: the packet (auth field included) followed by
-/// the secret padded with zeros to 16 bytes (§D.4.3).
-std::array<std::uint8_t, 16> md5_digest_for(
-    std::span<const std::uint8_t> packet, std::span<const std::uint8_t> key) {
-  std::vector<std::uint8_t> input(packet.begin(), packet.end());
+/// The secret padded with zeros to 16 bytes (§D.4.3).
+std::array<std::uint8_t, 16> padded_md5_key(
+    std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 16> padded{};
   std::copy_n(key.begin(), std::min<std::size_t>(16, key.size()),
               padded.begin());
+  return padded;
+}
+
+/// MD5 authentication input: the packet (auth field included) followed by
+/// the padded secret.
+std::array<std::uint8_t, 16> md5_digest_for(
+    std::span<const std::uint8_t> packet, std::span<const std::uint8_t> key) {
+  std::vector<std::uint8_t> input(packet.begin(), packet.end());
+  const auto padded = padded_md5_key(key);
   input.insert(input.end(), padded.begin(), padded.end());
   return md5(input);
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_md5(const OspfPacket& pkt,
-                                     std::span<const std::uint8_t> key) {
-  ByteWriter w(80);
+void encode_md5(const OspfPacket& pkt, std::span<const std::uint8_t> key,
+                ByteWriter& w) {
+  const std::size_t start = w.size();
   w.u8(pkt.header.version);
   w.u8(static_cast<std::uint8_t>(pkt.header.type));
   w.u16(0);  // length, patched below
@@ -255,10 +276,14 @@ std::vector<std::uint8_t> encode_md5(const OspfPacket& pkt,
   w.u32(pkt.header.md5_seq);
   encode_body(pkt.body, w);
   // Length covers the packet but NOT the trailing digest.
-  w.patch_u16(2, static_cast<std::uint16_t>(w.size()));
-  const auto digest = md5_digest_for(w.view(), key);
-  w.bytes(digest);
-  return w.take();
+  const std::size_t length = w.size() - start;
+  w.patch_u16(start + 2, static_cast<std::uint16_t>(length));
+  // Digest the packet with the padded secret appended in place, then
+  // overwrite the secret with the digest: no copy of the packet.
+  w.bytes(padded_md5_key(key));
+  const auto digest = md5(w.view().subspan(start));
+  std::copy(digest.begin(), digest.end(),
+            w.data().begin() + static_cast<std::ptrdiff_t>(start + length));
 }
 
 bool verify_md5(std::span<const std::uint8_t> wire,
@@ -322,10 +347,10 @@ Result<OspfPacket> decode(std::span<const std::uint8_t> wire) {
     return fail("length shorter than header");
 
   // §D.4: verify the checksum with the authentication field excluded —
-  // zero header bytes 16-23 and sum the whole packet.
-  std::vector<std::uint8_t> checked(wire.begin(), wire.end());
-  std::fill(checked.begin() + 16, checked.begin() + 24, 0);
-  if (!internet_checksum_ok(checked)) return fail("bad header checksum");
+  // summing around header bytes 16-23 equals summing a copy with them
+  // zeroed, without making the copy.
+  if (internet_checksum2(wire.first(16), wire.subspan(24)) != 0)
+    return fail("bad header checksum");
 
   const auto raw_body = wire.subspan(kOspfHeaderSize);
   auto body = decode_body(pkt.header.type, raw_body);

@@ -115,16 +115,22 @@ struct OspfPacket {
 /// Builds a packet with a consistent header.type for the given body.
 OspfPacket make_packet(RouterId router, AreaId area, PacketBody body);
 
-/// Serializes `pkt`, computing length and checksum. For AuType 0/1 only;
-/// AuType 2 packets need the key — use encode_md5.
+/// Appends the wire form of `pkt` to `w`, computing length and checksum.
+/// For AuType 0/1 only; AuType 2 packets need the key — use encode_md5.
+/// A sender that clear()s and reuses one writer encodes without
+/// allocating once the writer has grown to its largest packet.
+void encode(const OspfPacket& pkt, ByteWriter& w);
+
+/// The wire form of `pkt` as a fresh vector (tests, injection, tools).
 std::vector<std::uint8_t> encode(const OspfPacket& pkt);
 
-/// Serializes an AuType 2 packet (§D.4.3): no standard checksum, the auth
-/// slot carries (key id, digest length 16, sequence number), and
-/// MD5(packet || key padded to 16 bytes) is appended after the packet.
-/// header.au_type, md5_key_id and md5_seq must be set by the caller.
-std::vector<std::uint8_t> encode_md5(const OspfPacket& pkt,
-                                     std::span<const std::uint8_t> key);
+/// Appends the wire form of an AuType 2 packet (§D.4.3) to `w`: no
+/// standard checksum, the auth slot carries (key id, digest length 16,
+/// sequence number), and MD5(packet || key padded to 16 bytes) follows the
+/// packet. header.au_type, md5_key_id and md5_seq must be set by the
+/// caller.
+void encode_md5(const OspfPacket& pkt, std::span<const std::uint8_t> key,
+                ByteWriter& w);
 
 /// Verifies the trailing digest of an AuType 2 wire packet against `key`.
 bool verify_md5(std::span<const std::uint8_t> wire,

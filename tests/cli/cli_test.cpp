@@ -201,6 +201,22 @@ TEST(Cli, EveryCommandRejectsBadFlags) {
   std::string churn = "0";
   for (int i = 1; i < 257; ++i) churn += "," + std::to_string(i);
   expect_usage_error({"audit", "--churn-s", churn}, "--churn-s");
+  // A repeated list entry would run, and count, its scenarios twice
+  // (--seeds 1,1 once doubled every audit count). Spellings of one value
+  // are the same entry.
+  expect_usage_error({"audit", "--impls", "frr,bird", "--seeds", "1,1"},
+                     "'1'");
+  expect_usage_error({"stability", "--seeds", "1,2,01"}, "'01'");
+  expect_usage_error({"audit", "--topos", "mesh-3,mesh-3"}, "'mesh-3'");
+  expect_usage_error({"triage", "--topos", "linear-2,linear-02"},
+                     "'linear-02'");
+  expect_usage_error({"audit", "--impls", "frr,frr"}, "'frr'");
+  expect_usage_error({"coverage", "--impls", "bird,frr,bird"}, "'bird'");
+  expect_usage_error({"triage", "--impls", "frr,bird,frr"}, "'frr'");
+  // Every seed's results stay in memory until the merge.
+  std::string seeds = "1";
+  for (int i = 2; i <= 4'097; ++i) seeds += "," + std::to_string(i);
+  expect_usage_error({"audit", "--seeds", seeds}, "--seeds");
   // Removed telemetry flags are unknown flags now.
   expect_usage_error({"audit", "--stats", "inline"}, "--stats");
   expect_usage_error({"sweep", "--stats", "s.json"}, "--stats");

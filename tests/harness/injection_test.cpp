@@ -73,7 +73,9 @@ TEST(Validation, StimulusForCellStaysWithinTheTables) {
   // mapper output outside the tables would silently degrade triage.
   for (const auto* stim : {"LSU", "LSAck", "LSR", "Hello", "DBD"}) {
     const auto mapped = stimulus_for_cell(RelationCell{stim, "LSAck"}, dir);
-    if (!mapped.empty()) EXPECT_TRUE(injection_supports(mapped)) << mapped;
+    if (!mapped.empty()) {
+      EXPECT_TRUE(injection_supports(mapped)) << mapped;
+    }
   }
   EXPECT_TRUE(injection_supports(
       stimulus_for_cell(RelationCell{"LSU", "LSAck+gtSN"}, dir)));

@@ -78,7 +78,7 @@ std::function<bool(const Scenario&)> random_predicate(Rng& rng,
 /// and the number of oracle invocations.
 struct RecordingOracle {
   std::function<bool(const Scenario&)> predicate;
-  std::vector<std::string> probed;
+  std::vector<std::string> probed{};
   std::size_t calls = 0;
 
   BatchOracle oracle() {
@@ -114,8 +114,11 @@ TEST(MinimizeProperty, P1_KeptStepsAndFinalReproduce) {
     const auto r = minimize_scenario(start, {}, rec.oracle());
     // Every kept step was a reproducing candidate, and the result the loop
     // hands back still satisfies the predicate.
-    for (const auto& step : r.trace)
-      if (step.kept) EXPECT_TRUE(step.reproduced) << step.action;
+    for (const auto& step : r.trace) {
+      if (step.kept) {
+        EXPECT_TRUE(step.reproduced) << step.action;
+      }
+    }
     EXPECT_TRUE(pred(r.minimal)) << shrink_signature(r.minimal);
   }
 }
@@ -239,8 +242,9 @@ TEST(MinimizeProperty, P8_TraceAccountsForEveryProbe) {
     // When no step was kept, the minimizer returns the input untouched.
     std::size_t kept = 0;
     for (const auto& step : r.trace) kept += step.kept ? 1 : 0;
-    if (kept == 0)
+    if (kept == 0) {
       EXPECT_EQ(shrink_signature(r.minimal), shrink_signature(start));
+    }
     EXPECT_EQ(r.fixpoint || r.budget_exhausted, true)
         << "the loop ends either proven minimal or out of budget";
   }
@@ -259,8 +263,9 @@ TEST(MinimizeProperty, P9_CandidatesWellFormed) {
           << cand.action;
       // Always a buildable topology.
       EXPECT_GE(cand.scenario.topology.routers, 2u);
-      if (cand.scenario.topology.kind == topo::Kind::kRing)
+      if (cand.scenario.topology.kind == topo::Kind::kRing) {
         EXPECT_GE(cand.scenario.topology.routers, 3u);
+      }
       // TDelay reductions stay expressible as --tdelay-ms.
       EXPECT_EQ(cand.scenario.tdelay.count() % 1000, 0)
           << "sub-millisecond tdelay cannot round-trip the repro command";

@@ -321,7 +321,9 @@ TEST_F(TriageEndToEnd, IncidentsRankedAndAccounted) {
       EXPECT_LE(inc.minimal.topology.routers, inc.original.topology.routers);
       EXPECT_LE(inc.minimal.churn_times.size(),
                 inc.original.churn_times.size());
-      if (!inc.shrink.budget_exhausted) EXPECT_TRUE(inc.shrink.fixpoint);
+      if (!inc.shrink.budget_exhausted) {
+        EXPECT_TRUE(inc.shrink.fixpoint);
+      }
     } else {
       EXPECT_EQ(inc.confirmation, Confirmation::kUnconfirmed);
       EXPECT_FALSE(inc.reason.empty());
@@ -336,7 +338,9 @@ TEST_F(TriageEndToEnd, MaxIncidentsCapsTriage) {
   auto tc = config(4, false);
   tc.max_incidents = 1;
   const auto result = triage_ospf(impls, tc);
-  if (result.flagged > 0) EXPECT_EQ(result.incidents.size(), 1u);
+  if (result.flagged > 0) {
+    EXPECT_EQ(result.incidents.size(), 1u);
+  }
   EXPECT_GE(result.flagged, result.incidents.size());
 }
 

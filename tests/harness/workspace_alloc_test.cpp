@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "harness/experiment.hpp"
 #include "harness/workspace.hpp"
 #include "ospf/router.hpp"
 #include "topo/topo.hpp"
@@ -65,6 +66,49 @@ TEST(AllocBudget, WarmScenarioSetupIsNearlyAllocationFree) {
   // ...and essentially zero. The allowance of 2 is topo::Built's two
   // result vectors, which are returned by value and cannot be pooled.
   EXPECT_LE(lap1, 2u) << "warm scenario setup should not hit the heap";
+}
+
+/// Heap allocations of one whole run_scenario on `ws`, including the
+/// destruction of its result.
+std::uint64_t scenario_lap(const Scenario& scenario, Workspace& ws,
+                           std::uint64_t* frames = nullptr) {
+  const auto before = util::allocation_count();
+  {
+    const ScenarioResult result = run_scenario(scenario, ws);
+    if (frames != nullptr) *frames = result.frames_delivered;
+  }
+  return util::allocation_count() - before;
+}
+
+TEST(AllocBudget, WarmOspfScenarioAllocations) {
+  // Everything a warm OSPF run allocates: protocol handlers, codec,
+  // payload cells and the trace tap, about 5.5 per delivered frame. Each
+  // budget is the exact count with encode reusing one writer per router,
+  // decode reading the frame in place and LSA checksums re-encoding into
+  // reused storage, so one new allocation per frame fails it.
+  struct Case {
+    const char* name;
+    ospf::BehaviorProfile profile;
+    std::uint64_t budget;
+  };
+  const Case cases[] = {{"frr", ospf::frr_profile(), 3'895},
+                        {"bird", ospf::bird_profile(), 3'778}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Scenario scenario =
+        ExperimentConfig{}.scenario_for({topo::Kind::kMesh, 5}, 1);
+    scenario.ospf_profile = c.profile;
+    Workspace ws;
+    // Two warm-up laps: the first grows the workspace, trace arena pool
+    // and routers' buffers; the second catches anything sized on reuse.
+    scenario_lap(scenario, ws);
+    scenario_lap(scenario, ws);
+    std::uint64_t frames = 0;
+    const auto lap1 = scenario_lap(scenario, ws, &frames);
+    const auto lap2 = scenario_lap(scenario, ws);
+    EXPECT_EQ(lap1, lap2) << "a warm scenario's allocations vary lap to lap";
+    EXPECT_LE(lap1, c.budget) << frames << " frames delivered";
+  }
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <map>
+#include <random>
+#include <utility>
 #include <vector>
 
 namespace nidkit::netsim {
@@ -136,6 +142,153 @@ TEST(Simulator, ScheduleAtAbsoluteTime) {
   sim.schedule_at(SimTime{77ms}, [&] { seen = sim.now(); });
   sim.run();
   EXPECT_EQ(seen, SimTime{77ms});
+}
+
+/// Drives a Simulator with a seeded mix of schedules, cancels, bursts and
+/// deadlines, and checks every executed event against a reference model:
+/// the pending set keyed on (when, seq), the order the simulator promises.
+class ScheduleModel {
+ public:
+  ScheduleModel(std::uint64_t seed, std::size_t budget)
+      : rng_(seed), budget_(budget) {}
+
+  void run() {
+    for (int i = 0; i < 64; ++i) schedule_one();
+    while (!pending_.empty()) {
+      const auto before = ran_.size();
+      if (pick(4) == 0) {
+        ASSERT_TRUE(sim_.step());
+        ASSERT_EQ(ran_.size(), before + 1) << "step ran no live event";
+      } else {
+        // Deadlines may lie behind the clock, on an event, or past it.
+        const SimTime deadline =
+            sim_.now() - SimDuration{1000} + SimDuration{pick(12) * 1000};
+        const SimTime clock = std::max(sim_.now(), deadline);
+        sim_.run_until(deadline);
+        if (!pending_.empty()) {
+          ASSERT_GT(pending_.begin()->first.first, deadline)
+              << "run_until left an event due by its deadline";
+        }
+        // When the last events due by the deadline are cancelled ones,
+        // step() skips them and runs the next live event however late it
+        // is. Scenario outputs depend on that today, so the model bounds
+        // it: at most one late event, the last one run, and the clock at
+        // its time.
+        std::size_t late = 0;
+        for (std::size_t i = before; i < ran_.size(); ++i)
+          if (keys_[ran_[i]].first > deadline) ++late;
+        ASSERT_LE(late, 1u) << "run_until ran past its deadline twice";
+        if (late == 1) {
+          ASSERT_GT(keys_[ran_.back()].first, deadline);
+          ASSERT_EQ(sim_.now(), keys_[ran_.back()].first);
+        } else {
+          ASSERT_EQ(sim_.now(), clock);
+        }
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_FALSE(sim_.step()) << "a cancelled event ran";
+    EXPECT_EQ(sim_.executed(), ran_.size());
+    EXPECT_GE(bursts_, 3) << "no action regrew the slot slab while running";
+  }
+
+  std::size_t events() const { return keys_.size(); }
+  std::size_t ran() const { return ran_.size(); }
+
+ private:
+  using Key = std::pair<SimTime, std::uint64_t>;  // (when, seq)
+  /// Fills an action's inline buffer with values the action re-reads after
+  /// its own scheduling work, so one running from a slot that moved under
+  /// it reads garbage (and ASan reports the use after free).
+  using Payload = std::array<std::uint64_t, 6>;
+
+  static Payload payload_for(std::size_t id) {
+    Payload p;
+    for (std::size_t i = 0; i < p.size(); ++i)
+      p[i] = id * 0x9e3779b97f4a7c15ULL + i;
+    return p;
+  }
+
+  std::uint64_t pick(std::uint64_t n) { return rng_() % n; }
+
+  void schedule_one() {
+    if (keys_.size() >= budget_) return;
+    // Few distinct delays, so most events tie on time with others.
+    static constexpr std::array<int, 6> kDelayMs = {0, 0, 1, 1, 2, 5};
+    const SimTime when =
+        sim_.now() + SimDuration{kDelayMs[pick(kDelayMs.size())] * 1000};
+    const std::size_t id = keys_.size();
+    const Payload payload = payload_for(id);
+    auto action = [this, id, payload] {
+      on_run(id);
+      EXPECT_EQ(payload, payload_for(id)) << "action state moved under it";
+    };
+    // Both entry points take a seq from the same counter.
+    handles_.push_back(pick(2) == 0
+                           ? sim_.schedule_at(when, action)
+                           : sim_.schedule(when - sim_.now(), action));
+    keys_.push_back(Key{when, next_seq_++});
+    pending_.emplace(keys_.back(), id);
+  }
+
+  void cancel(std::size_t id) {
+    handles_[id].cancel();
+    // A fired or already-cancelled event is not pending: cancelling it
+    // must touch nothing, even when its slot has a new tenant.
+    const auto [lo, hi] = pending_.equal_range(keys_[id]);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second == id) {
+        pending_.erase(it);
+        break;
+      }
+    }
+  }
+
+  void on_run(std::size_t id) {
+    ASSERT_FALSE(pending_.empty()) << "event " << id << " ran unscheduled";
+    ASSERT_EQ(pending_.begin()->second, id) << "ran out of (when, seq) order";
+    ASSERT_EQ(sim_.now(), keys_[id].first);
+    pending_.erase(pending_.begin());
+    ran_.push_back(id);
+
+    if (pick(8) == 0) cancel(id);  // its own, now-fired handle
+    if (bursts_ < 4 && pick(64) == 0) {
+      // Take in-flight events past twice any earlier peak: the slot slab
+      // must grow (and move) while this action is running.
+      ++bursts_;
+      peak_ = std::max(peak_, sim_.pending());
+      const std::size_t target = 2 * peak_ + 1;
+      budget_ += target;
+      while (sim_.pending() < target) schedule_one();
+    }
+    for (std::uint64_t n = pick(3); n > 0; --n) schedule_one();
+    for (std::uint64_t n = pick(3); n > 0; --n)
+      if (!keys_.empty()) cancel(pick(keys_.size()));
+    peak_ = std::max(peak_, sim_.pending());
+  }
+
+  Simulator sim_;
+  std::mt19937_64 rng_;
+  std::size_t budget_;
+  std::uint64_t next_seq_ = 0;
+  std::vector<TimerHandle> handles_;  // by event id
+  std::vector<Key> keys_;             // by event id
+  std::multimap<Key, std::size_t> pending_;
+  std::vector<std::size_t> ran_;
+  std::size_t peak_ = 0;
+  int bursts_ = 0;
+};
+
+TEST(Simulator, RandomScheduleCancelMatchesReferenceOrder) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    ScheduleModel model(seed, 4'000);
+    model.run();
+    if (HasFatalFailure()) return;
+    // The mix must exercise both outcomes, not just one.
+    EXPECT_GT(model.ran(), model.events() / 4);
+    EXPECT_LT(model.ran(), model.events());
+  }
 }
 
 }  // namespace

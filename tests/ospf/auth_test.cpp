@@ -250,7 +250,9 @@ TEST(Md5Auth, CodecRoundTripsMd5Frames) {
   const std::string key = "k3y";
   const std::span<const std::uint8_t> key_span{
       reinterpret_cast<const std::uint8_t*>(key.data()), key.size()};
-  const auto wire = encode_md5(pkt, key_span);
+  ByteWriter w;
+  encode_md5(pkt, key_span, w);
+  const auto wire = w.take();
   EXPECT_TRUE(verify_md5(wire, key_span));
 
   auto out = decode(wire);

@@ -124,6 +124,53 @@ TEST(OspfCodec, HeaderChecksumExcludesAuthField) {
   EXPECT_TRUE(decode(wire).ok());
 }
 
+TEST(OspfCodec, HeaderChecksumCoversEveryByteButAuth) {
+  // §D.4: the checksum skips exactly the 64-bit authentication field
+  // (header bytes 16-23). decode sums around that hole in place, so check
+  // the hole's edges bit by bit, on a password-carrying packet of every
+  // body shape with a variable-length tail.
+  HelloBody hello;
+  hello.neighbors = {RouterId{2, 2, 2, 2}, RouterId{3, 3, 3, 3}};
+  DbdBody dbd;
+  dbd.flags = kDbdFlagMore;
+  dbd.lsa_headers.push_back(simple_lsa(0x01010101).header);
+  LsUpdateBody lsu;
+  lsu.lsas.push_back(simple_lsa(0x01010101, kInitialSequenceNumber + 3));
+  lsu.lsas.push_back(simple_lsa(0x02020202));
+  LsAckBody ack;
+  ack.lsa_headers.push_back(simple_lsa(0x02020202).header);
+  const PacketBody bodies[] = {hello, dbd, lsu, ack};
+  for (const PacketBody& body : bodies) {
+    OspfPacket pkt = make_packet(kR1, kBackboneArea, body);
+    SCOPED_TRACE(to_string(pkt.header.type));
+    pkt.header.au_type = 1;
+    pkt.header.auth = {'s', '3', 'c', 'r', 'e', 't', '!', '?'};
+    const auto wire = encode(pkt);
+    ASSERT_TRUE(decode(wire).ok());
+    for (std::size_t byte = 0; byte < wire.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        SCOPED_TRACE("byte " + std::to_string(byte) + " bit " +
+                     std::to_string(bit));
+        auto flipped = wire;
+        flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        const auto out = decode(flipped);
+        if (byte >= 16 && byte < 24) {
+          ASSERT_TRUE(out.ok()) << out.error();
+          EXPECT_EQ(out.value().body, pkt.body);
+          EXPECT_EQ(out.value().header.auth[byte - 16],
+                    pkt.header.auth[byte - 16] ^ (1u << bit));
+        } else {
+          ASSERT_FALSE(out.ok());
+          // Past the header every field check passes; only the sum sees it.
+          if (byte >= kOspfHeaderSize) {
+            EXPECT_EQ(out.error(), "bad header checksum");
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(OspfCodec, CorruptedBodyRejected) {
   auto wire = encode(make_packet(kR1, kBackboneArea, HelloBody{}));
   wire[kOspfHeaderSize] ^= 0x01;  // first body byte (network mask)
