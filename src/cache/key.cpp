@@ -122,10 +122,8 @@ ScenarioKey scenario_key(const harness::Scenario& scenario,
   fp.f64(scenario.link_loss);
   hash_duration(fp, scenario.duration);
   fp.u64(scenario.seed);
-  hash_duration(fp, scenario.lsa_refresh);
   fp.u64(scenario.churn_times.size());
   for (const auto when : scenario.churn_times) hash_duration(fp, when);
-  fp.boolean(scenario.state_probe);
 
   ScenarioKey key;
   key.digest = fp.digest();

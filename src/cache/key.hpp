@@ -3,9 +3,9 @@
 // A ScenarioKey is a 128-bit fingerprint over every input that can change
 // what a scenario run produces: the harness::Scenario (topology, protocol,
 // the behaviour profile of that protocol, delays, loss, seed, churn
-// schedule, state probing — everything except presentation-only knobs
-// like keep_bytes and the profiles of the protocols it does not run),
-// the mining::MinerConfig it will be mined with, the key-scheme id, the
+// schedule — everything except presentation-only knobs like keep_bytes
+// and the profiles of the protocols it does not run), the
+// mining::MinerConfig it will be mined with, the key-scheme id, the
 // payload kind, and a format-version constant that is bumped whenever the
 // cached encoding or the key derivation itself changes. Two scenarios with
 // equal keys are guaranteed to produce bit-identical cached payloads;
@@ -34,7 +34,7 @@ namespace nidkit::cache {
 /// Bump on any change to the key derivation or the on-disk encoding. Old
 /// entries then simply miss (different key, and the entry framing echoes
 /// the version); no migration logic is ever needed.
-inline constexpr std::uint32_t kCacheFormatVersion = 5;
+inline constexpr std::uint32_t kCacheFormatVersion = 6;
 
 /// What the cached entry holds. Folded into the key so the two payload
 /// shapes mined from one scenario (full relation set vs. sweep accuracy
@@ -66,7 +66,7 @@ ScenarioKey scenario_key(const harness::Scenario& scenario,
 // coverage test re-checks them at runtime so the contract is visible in
 // the test suite too.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-inline constexpr std::size_t kHashedScenarioSize = 408;
+inline constexpr std::size_t kHashedScenarioSize = 400;
 inline constexpr std::size_t kHashedMinerConfigSize = 24;
 inline constexpr std::size_t kHashedOspfProfileSize = 136;
 inline constexpr std::size_t kHashedRipProfileSize = 88;

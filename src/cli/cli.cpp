@@ -68,7 +68,7 @@ std::optional<Args> parse_args(const std::vector<std::string>& tokens,
       return std::nullopt;
     }
     // Boolean switches: presence means "on", no value token follows.
-    if (tok == "--keep-bytes" || tok == "--no-cache" || tok == "--json") {
+    if (tok == "--no-cache" || tok == "--json") {
       args.flags[tok.substr(2)] = "1";
       i += 1;
       continue;
@@ -104,13 +104,12 @@ int usage(std::ostream& out) {
          "             [--scheme type|gtsn|state|lsatype] [--topos paper|extended]\n"
          "             [--format text|json]\n"
          "             [--tdelay-ms 900] [--seeds 1,2,3] [--duration-s 180]\n"
-         "             [--jobs N] [--keep-bytes] [--stats-out s.json]\n"
+         "             [--jobs N] [--stats-out s.json]\n"
          "             [--metrics-out m.json] [--trace-out t.json]\n"
          "  trace      --impl frr [--topo mesh-5] [--seed 1]\n"
          "             [--out trace.txt | --pcap capture.pcap]\n"
          "  mine       --in trace.txt [--tdelay-ms 900] [--scheme type]\n"
          "  sweep      [--impl frr] [--max-ms 1500] [--step-ms 150] [--jobs N]\n"
-         "             [--keep-bytes]\n"
          "  inject     --target frr|bird|strict --stimulus LSU-stale|LSR|...\n"
          "  triage     --impls frr,bird [--scheme gtsn]\n"
          "             [--max-probes 200] [--max-incidents N] [--jobs N]\n"
@@ -131,8 +130,6 @@ int usage(std::ostream& out) {
          "  --jobs N parallelizes scenario execution over N workers\n"
          "  (default: hardware concurrency; results are identical for\n"
          "  every N).\n"
-         "  Audit/sweep traces keep only protocol digests; --keep-bytes\n"
-         "  retains raw wire bytes too (for pcap export of audit runs).\n"
          "  --cache-dir DIR memoizes per-scenario results on disk, keyed\n"
          "  by every simulation-affecting knob; repeat runs (audit, sweep,\n"
          "  stability) replay hits instead of re-simulating, with byte-\n"
@@ -340,10 +337,6 @@ std::optional<harness::ExperimentConfig> config_from(const Args& args,
   // 0 keeps the default: as many workers as the hardware allows.
   if (const auto jobs = args.get_int("jobs"))
     config.jobs = static_cast<std::size_t>(*jobs);
-  // Experiment pipelines drop raw wire bytes from trace records by default
-  // (mining reads digests only); --keep-bytes opts back in, e.g. to pcap-
-  // export audit traces.
-  config.keep_bytes = args.has("keep-bytes");
   config.cache_dir = resolve_cache_dir(args);
   return config;
 }
@@ -562,7 +555,6 @@ int cmd_sweep(const Args& args, obs::RunRecord* record, std::ostream& out,
   config.link_jitter = 400ms;
   if (const auto jobs = args.get_int("jobs"))
     config.jobs = static_cast<std::size_t>(*jobs);
-  config.keep_bytes = args.has("keep-bytes");
   config.cache_dir = resolve_cache_dir(args);
   config.record = record;
   const long long max_ms = args.get_int("max-ms").value_or(1500);
@@ -840,7 +832,6 @@ constexpr struct {
     {"tdelay-ms", kExperiment | kTrace | kMine, 0, kMaxTdelayMs},
     {"duration-s", kExperiment | kTrace, 0, kMaxDurationS},
     {"jobs", kTelemetry, 0, 256},
-    {"keep-bytes", kTelemetry},
     {"cache-dir", kTelemetry | kCache},
     {"no-cache", kTelemetry | kCache},
     {"stats-out", kTelemetry},

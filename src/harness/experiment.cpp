@@ -14,7 +14,7 @@ namespace nidkit::harness {
 // `jobs`, `cache_dir` and `record` — document the exemption there. Then
 // update the expected size.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(ExperimentConfig) == 184,
+static_assert(sizeof(ExperimentConfig) == 168,
               "ExperimentConfig grew: thread the new knob through "
               "scenario_for (or exempt it) and update this guard");
 #endif

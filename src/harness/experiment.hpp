@@ -34,10 +34,6 @@ struct ExperimentConfig {
   /// the matrices in attribution noise.
   double link_loss = 0.002;
   SimDuration duration = 180s;
-  /// 0 keeps the profiles' RFC default (30 min, i.e. no refresh within a
-  /// run): sequence numbers still advance through convergence-time
-  /// re-origination, as in the paper's testbed.
-  SimDuration lsa_refresh = 0s;
   SimDuration miner_horizon = 5s;
   double window_factor = 2.0;
   /// Link-churn schedule (the chaos workload), copied into every scenario.
@@ -48,11 +44,6 @@ struct ExperimentConfig {
   /// scenarios. 0 = hardware_concurrency, 1 = the serial reference path.
   /// Results are bit-identical for every value (see parallel.hpp).
   std::size_t jobs = 0;
-  /// Keep raw wire bytes in trace records. Off by default in experiment
-  /// pipelines: mining reads digests only, so dropping the byte buffers
-  /// changes nothing in the reports while shrinking sweep memory. CLI
-  /// --keep-bytes flips it (needed for pcap export of audit traces).
-  bool keep_bytes = false;
   /// Directory of the persistent scenario-result cache (see cache::Store).
   /// Empty — the default — disables caching. Executor-level knob like
   /// `jobs`, exempt from the scenario_for copy-through: the cache location
@@ -85,10 +76,10 @@ struct ExperimentConfig {
     s.link_jitter = link_jitter;
     s.link_loss = link_loss;
     s.duration = duration;
-    s.lsa_refresh = lsa_refresh;
     s.churn_times = churn_times;
     s.seed = seed;
-    s.keep_bytes = keep_bytes;
+    // Mining reads digests only, so experiment traces drop the raw bytes.
+    s.keep_bytes = false;
     return s;
   }
 };

@@ -157,7 +157,7 @@ InjectionOutcome inject_and_observe(const InjectionConfig& config) {
   for (const auto& rec : log.records()) {
     if (rec.node != prober_node || rec.is_send()) continue;
     if (rec.time <= injected_at) continue;
-    const auto* o = rec.ospf();
+    const auto* o = rec.ospf;
     if (o == nullptr) continue;
     std::string label = mining::ospf_type_label(o->pkt_type);
     outcome.responses.insert(label);

@@ -64,16 +64,13 @@ ScenarioResult run_scenario(const Scenario& scenario, Workspace& ws) {
       const auto b = static_cast<std::uint8_t>(i + 1);
       cfg.router_id = RouterId{b, b, b, b};
       cfg.profile = scenario.ospf_profile;
-      if (scenario.lsa_refresh.count() > 0)
-        cfg.profile.lsa_refresh_interval = scenario.lsa_refresh;
       routers.create(net, built.nodes[i], cfg, seeder.next());
     }
-    if (scenario.state_probe) {
-      log.set_state_prober([&routers](netsim::NodeId node) {
-        return node < routers.size() ? routers[node].max_neighbor_state()
-                                     : -1;
-      });
-    }
+    // Every record carries the observing router's max neighbor FSM state
+    // (the state-conditioned key scheme reads it).
+    log.set_prober([&routers](netsim::NodeId node) {
+      return node < routers.size() ? routers[node].max_neighbor_state() : -1;
+    });
     // Staggered startup, as daemons in containers never boot in lockstep.
     for (std::size_t i = 0; i < routers.size(); ++i) {
       ospf::Router* r = &routers[i];
@@ -441,13 +438,13 @@ ScenarioResult run_scenario(const Scenario& scenario, Workspace& ws) {
       const trace::RecordView rec = log.view(idx);
       cov::Proto proto = cov::Proto::kOspf;
       unsigned kind = 0;
-      if (const auto* o = rec.ospf()) {
+      if (const auto* o = rec.ospf) {
         proto = cov::Proto::kOspf;
         kind = o->pkt_type;
-      } else if (const auto* ri = rec.rip()) {
+      } else if (const auto* ri = rec.rip) {
         proto = cov::Proto::kRip;
         kind = ri->command;
-      } else if (const auto* b = rec.bgp()) {
+      } else if (const auto* b = rec.bgp) {
         proto = cov::Proto::kBgp;
         kind = b->msg_type;
       }

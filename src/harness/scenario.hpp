@@ -55,22 +55,13 @@ struct Scenario {
   SimDuration duration = 180s;
   std::uint64_t seed = 1;
 
-  /// Shortened LSRefreshTime so sequence numbers advance within the run
-  /// (0 keeps the profile's default of 30 min, i.e. refresh-free runs).
-  SimDuration lsa_refresh = 0s;
-
   /// Workload churn: routers originate external LSAs (OSPF) or extra
   /// prefixes (RIP) at these times, creating LSDB/table changes mid-run.
   std::vector<SimTime> churn_times = {60s, 110s};
 
-  /// Record the observing router's max neighbor FSM state on every packet
-  /// event (needed by the state-conditioned key scheme).
-  bool state_probe = true;
-
   /// Keep raw wire bytes in each trace record. On by default so direct
-  /// scenario runs can dump/save/pcap-export their traces; the audit and
-  /// sweep pipelines turn it off (digests are all the miner reads) unless
-  /// the user opts back in with --keep-bytes.
+  /// scenario runs can save and pcap-export their traces; the experiment
+  /// pipelines turn it off (digests are all the miner reads).
   bool keep_bytes = true;
 };
 

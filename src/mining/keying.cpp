@@ -27,13 +27,13 @@ KeyScheme ospf_type_scheme() {
   KeyScheme s;
   s.name = "ospf-type";
   s.stimulus = [](const trace::RecordView& r) -> std::optional<std::string> {
-    const auto* o = r.ospf();
+    const auto* o = r.ospf;
     if (o == nullptr) return std::nullopt;
     return ospf_type_label(o->pkt_type);
   };
   s.response = [](const trace::RecordView&, const trace::RecordView& resp)
       -> std::optional<std::string> {
-    const auto* o = resp.ospf();
+    const auto* o = resp.ospf;
     if (o == nullptr) return std::nullopt;
     return ospf_type_label(o->pkt_type);
   };
@@ -44,7 +44,7 @@ KeyScheme ospf_greater_lssn_scheme() {
   KeyScheme s;
   s.name = "ospf-greater-lssn";
   s.stimulus = [](const trace::RecordView& r) -> std::optional<std::string> {
-    const auto* o = r.ospf();
+    const auto* o = r.ospf;
     if (o == nullptr) return std::nullopt;
     if (o->pkt_type != 4 && o->pkt_type != 5) return std::nullopt;
     if (o->lsas.empty()) return std::nullopt;
@@ -53,8 +53,8 @@ KeyScheme ospf_greater_lssn_scheme() {
   s.response = [](const trace::RecordView& stim,
                   const trace::RecordView& resp)
       -> std::optional<std::string> {
-    const auto* so = stim.ospf();
-    const auto* ro = resp.ospf();
+    const auto* so = stim.ospf;
+    const auto* ro = resp.ospf;
     if (so == nullptr || ro == nullptr) return std::nullopt;
     if (ro->pkt_type != 4 && ro->pkt_type != 5) return std::nullopt;
     if (ro->lsas.empty() || so->lsas.empty()) return std::nullopt;
@@ -80,13 +80,13 @@ KeyScheme ospf_state_scheme() {
   KeyScheme s;
   s.name = "ospf-state";
   s.stimulus = [](const trace::RecordView& r) -> std::optional<std::string> {
-    const auto* o = r.ospf();
+    const auto* o = r.ospf;
     if (o == nullptr) return std::nullopt;
     return ospf_type_label(o->pkt_type) + "@" + state_label(r.observer_state);
   };
   s.response = [](const trace::RecordView&, const trace::RecordView& resp)
       -> std::optional<std::string> {
-    const auto* o = resp.ospf();
+    const auto* o = resp.ospf;
     if (o == nullptr) return std::nullopt;
     return ospf_type_label(o->pkt_type) + "@" +
            state_label(resp.observer_state);
@@ -96,7 +96,7 @@ KeyScheme ospf_state_scheme() {
 
 KeyScheme ospf_lsa_type_scheme() {
   auto label = [](const trace::RecordView& r) -> std::optional<std::string> {
-    const auto* o = r.ospf();
+    const auto* o = r.ospf;
     if (o == nullptr) return std::nullopt;
     std::string out = ospf_type_label(o->pkt_type);
     if (!o->lsas.empty()) {
@@ -129,7 +129,7 @@ KeyScheme ospf_lsa_type_scheme() {
 
 KeyScheme rip_refined_scheme() {
   auto label = [](const trace::RecordView& r) -> std::optional<std::string> {
-    const auto* p = r.rip();
+    const auto* p = r.rip;
     if (p == nullptr) return std::nullopt;
     if (p->command == 1)
       return std::string(p->full_table_request ? "Request(full)" : "Request");
@@ -148,7 +148,7 @@ KeyScheme rip_refined_scheme() {
 
 KeyScheme ospf_dbd_flags_scheme() {
   auto label = [](const trace::RecordView& r) -> std::optional<std::string> {
-    const auto* o = r.ospf();
+    const auto* o = r.ospf;
     if (o == nullptr) return std::nullopt;
     if (o->pkt_type != 2) return ospf_type_label(o->pkt_type);
     std::string out = "DBD(";
@@ -177,7 +177,7 @@ KeyScheme ospf_dbd_flags_scheme() {
 KeyScheme bgp_message_scheme(std::size_t longpath_threshold) {
   auto label = [longpath_threshold](
                    const trace::RecordView& r) -> std::optional<std::string> {
-    const auto* b = r.bgp();
+    const auto* b = r.bgp;
     if (b == nullptr) return std::nullopt;
     switch (b->msg_type) {
       case 1: return std::string("OPEN");
@@ -204,7 +204,7 @@ KeyScheme bgp_message_scheme(std::size_t longpath_threshold) {
 
 KeyScheme rip_command_scheme() {
   auto label = [](const trace::RecordView& r) -> std::optional<std::string> {
-    const auto* p = r.rip();
+    const auto* p = r.rip;
     if (p == nullptr) return std::nullopt;
     if (p->command == 1)
       return std::string(p->full_table_request ? "Request(full)" : "Request");

@@ -170,12 +170,6 @@ OspfInterface* Router::iface_by_index(netsim::IfaceIndex index) {
   return nullptr;
 }
 
-Neighbor* Router::find_neighbor_by_address(OspfInterface& oi, Ipv4Addr addr) {
-  for (auto& [id, nbr] : oi.neighbors)
-    if (nbr.address == addr) return &nbr;
-  return nullptr;
-}
-
 bool Router::is_dr_or_bdr(const OspfInterface& oi) const {
   return oi.state == InterfaceState::kDr ||
          oi.state == InterfaceState::kBackup;

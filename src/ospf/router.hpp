@@ -243,8 +243,6 @@ class Router {
   void handle_lsu(OspfInterface& oi, Neighbor& n, const LsUpdateBody& lsu,
                   std::uint64_t frame_id);
   void handle_lsack(OspfInterface& oi, Neighbor& n, const LsAckBody& ack);
-  void install_and_flood(OspfInterface& from, Neighbor& n, const Lsa& lsa,
-                         std::uint64_t frame_id);
   /// Floods the current database copy of `key` (§13.3). `except` is the
   /// interface the LSA arrived on (nullptr for self-originations);
   /// `from` is the neighbor it arrived from — that neighbor already has
@@ -277,7 +275,6 @@ class Router {
   bool origination_allowed(const LsaKey& key, std::function<void()> retry);
 
   OspfInterface* iface_by_index(netsim::IfaceIndex index);
-  Neighbor* find_neighbor_by_address(OspfInterface& oi, Ipv4Addr addr);
   bool is_dr_or_bdr(const OspfInterface& oi) const;
   SimTime now() const { return net_.sim().now(); }
 

@@ -23,8 +23,8 @@ inline std::uint32_t be32(const std::uint8_t* p) {
          (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
 }
 
-inline OspfDigest::LsaDigest lsa_digest_from_header(const std::uint8_t* h) {
-  OspfDigest::LsaDigest d;
+inline LsaDigest lsa_digest_from_header(const std::uint8_t* h) {
+  LsaDigest d;
   d.age = be16(h);
   d.lsa_type = h[3];
   d.link_state_id = Ipv4Addr{be32(h + 4)};
@@ -33,118 +33,12 @@ inline OspfDigest::LsaDigest lsa_digest_from_header(const std::uint8_t* h) {
   return d;
 }
 
-template <typename LsaRange>
-std::int32_t max_seq_of(const LsaRange& lsas) {
+}  // namespace
+
+std::int32_t OspfView::max_seq() const {
   std::int32_t best = std::numeric_limits<std::int32_t>::min();
   for (const auto& l : lsas) best = std::max(best, l.seq);
   return best;
-}
-
-}  // namespace
-
-std::int32_t OspfDigest::max_seq() const { return max_seq_of(lsas); }
-std::int32_t OspfView::max_seq() const { return max_seq_of(lsas); }
-
-Digest digest_frame(const netsim::Frame& frame) {
-  if (frame.protocol == ospf::kIpProtoOspf) {
-    auto decoded = ospf::decode(frame.payload);
-    if (!decoded.ok()) return std::monostate{};
-    const auto& pkt = decoded.value();
-    OspfDigest d;
-    d.pkt_type = static_cast<std::uint8_t>(pkt.header.type);
-    auto add_header = [&d](const ospf::LsaHeader& h) {
-      d.lsas.push_back(OspfDigest::LsaDigest{
-          static_cast<std::uint8_t>(h.type), h.seq, h.age, h.link_state_id,
-          h.advertising_router});
-    };
-    if (const auto* lsu = std::get_if<ospf::LsUpdateBody>(&pkt.body)) {
-      for (const auto& lsa : lsu->lsas) add_header(lsa.header);
-    } else if (const auto* ack = std::get_if<ospf::LsAckBody>(&pkt.body)) {
-      for (const auto& h : ack->lsa_headers) add_header(h);
-    } else if (const auto* dbd = std::get_if<ospf::DbdBody>(&pkt.body)) {
-      d.dbd_flags = dbd->flags;
-      for (const auto& h : dbd->lsa_headers) add_header(h);
-    }
-    return d;
-  }
-  if (frame.protocol == 6) {  // TCP: the only TCP traffic we model is BGP
-    auto decoded = bgp::decode(frame.payload);
-    if (!decoded.ok()) return std::monostate{};
-    const auto& msg = decoded.value();
-    BgpDigest d;
-    d.msg_type = static_cast<std::uint8_t>(msg.type());
-    if (const auto* update = std::get_if<bgp::UpdateMessage>(&msg.body)) {
-      d.as_path_len = static_cast<std::uint32_t>(update->as_path.size());
-      d.nlri_count = static_cast<std::uint16_t>(update->nlri.size());
-      d.withdrawn_count =
-          static_cast<std::uint16_t>(update->withdrawn.size());
-    } else if (const auto* notif =
-                   std::get_if<bgp::NotificationMessage>(&msg.body)) {
-      d.error_code = notif->error_code;
-    }
-    return d;
-  }
-  if (frame.protocol == 17) {  // UDP: the only UDP traffic we model is RIP
-    auto decoded = rip::decode(frame.payload);
-    if (!decoded.ok()) return std::monostate{};
-    const auto& pkt = decoded.value();
-    RipDigest d;
-    d.command = static_cast<std::uint8_t>(pkt.command);
-    d.entry_count = static_cast<std::uint16_t>(pkt.entries.size());
-    d.full_table_request = pkt.is_full_table_request();
-    for (const auto& e : pkt.entries) d.max_metric = std::max(d.max_metric, e.metric);
-    return d;
-  }
-  return std::monostate{};
-}
-
-RecordView::RecordView(const PacketRecord& rec)
-    : time(rec.time),
-      node(rec.node),
-      iface(rec.iface),
-      direction(rec.direction),
-      src(rec.src),
-      dst(rec.dst),
-      protocol(rec.protocol),
-      frame_id(rec.frame_id),
-      caused_by(rec.caused_by),
-      observer_state(rec.observer_state),
-      bytes(rec.bytes) {
-  if (const auto* o = rec.ospf()) {
-    ospf_store_.pkt_type = o->pkt_type;
-    ospf_store_.dbd_flags = o->dbd_flags;
-    ospf_store_.lsas = {o->lsas.data(), o->lsas.size()};
-    ospf_ = &ospf_store_;
-  } else if (const auto* r = rec.rip()) {
-    rip_store_ = *r;
-    rip_ = &rip_store_;
-  } else if (const auto* b = rec.bgp()) {
-    bgp_store_ = *b;
-    bgp_ = &bgp_store_;
-  }
-}
-
-RecordView& RecordView::operator=(const RecordView& other) {
-  time = other.time;
-  node = other.node;
-  iface = other.iface;
-  direction = other.direction;
-  src = other.src;
-  dst = other.dst;
-  protocol = other.protocol;
-  frame_id = other.frame_id;
-  caused_by = other.caused_by;
-  observer_state = other.observer_state;
-  bytes = other.bytes;
-  ospf_store_ = other.ospf_store_;
-  rip_store_ = other.rip_store_;
-  bgp_store_ = other.bgp_store_;
-  // Digest pointers either target the log's pools (copy as-is) or the
-  // source view's inline store (re-point at our own copy).
-  ospf_ = other.ospf_ == &other.ospf_store_ ? &ospf_store_ : other.ospf_;
-  rip_ = other.rip_ == &other.rip_store_ ? &rip_store_ : other.rip_;
-  bgp_ = other.bgp_ == &other.bgp_store_ ? &bgp_store_ : other.bgp_;
-  return *this;
 }
 
 TraceLog::TraceLog() : arena_(std::make_unique<util::Arena>()) {
@@ -239,49 +133,81 @@ void TraceLog::push_common(SimTime time, netsim::NodeId node,
   index_record(node, idx);
 }
 
-void TraceLog::push_digest(const Digest& digest) {
-  if (const auto* o = std::get_if<OspfDigest>(&digest)) {
-    OspfView v;
-    v.pkt_type = o->pkt_type;
-    v.dbd_flags = o->dbd_flags;
-    if (!o->lsas.empty()) {
-      auto* slab =
-          arena_->allocate_array<OspfDigest::LsaDigest>(o->lsas.size());
-      for (std::size_t i = 0; i < o->lsas.size(); ++i) slab[i] = o->lsas[i];
-      v.lsas = {slab, o->lsas.size()};
+template <typename T>
+void TraceLog::push_pooled(DigestKind kind, util::ArenaVec<T>& pool,
+                           const T& digest) {
+  digest_ref_.push_back((kind << kDigestKindShift) |
+                        static_cast<std::uint32_t>(pool.size()));
+  pool.push_back(digest);
+}
+
+void TraceLog::append(const RecordView& record) {
+  push_common(record.time, record.node, record.iface, record.direction,
+              record.src, record.dst, record.protocol, record.frame_id,
+              record.caused_by, record.observer_state,
+              record.bytes.retain());
+  if (record.ospf != nullptr) {
+    OspfView v = *record.ospf;
+    if (!v.lsas.empty()) {
+      auto* slab = arena_->allocate_array<LsaDigest>(v.lsas.size());
+      std::copy(v.lsas.begin(), v.lsas.end(), slab);
+      v.lsas = {slab, v.lsas.size()};
     }
-    digest_ref_.push_back((kDigestOspf << kDigestKindShift) |
-                          static_cast<std::uint32_t>(ospf_pool_.size()));
-    ospf_pool_.push_back(v);
-  } else if (const auto* r = std::get_if<RipDigest>(&digest)) {
-    digest_ref_.push_back((kDigestRip << kDigestKindShift) |
-                          static_cast<std::uint32_t>(rip_pool_.size()));
-    rip_pool_.push_back(*r);
-  } else if (const auto* b = std::get_if<BgpDigest>(&digest)) {
-    digest_ref_.push_back((kDigestBgp << kDigestKindShift) |
-                          static_cast<std::uint32_t>(bgp_pool_.size()));
-    bgp_pool_.push_back(*b);
+    push_pooled(kDigestOspf, ospf_pool_, v);
+  } else if (record.rip != nullptr) {
+    push_pooled(kDigestRip, rip_pool_, *record.rip);
+  } else if (record.bgp != nullptr) {
+    push_pooled(kDigestBgp, bgp_pool_, *record.bgp);
   } else {
     digest_ref_.push_back(kDigestNone);
   }
 }
 
-void TraceLog::append(PacketRecord record) {
-  push_common(record.time, record.node, record.iface, record.direction,
-              record.src, record.dst, record.protocol, record.frame_id,
-              record.caused_by, record.observer_state,
-              record.bytes.retain());
-  push_digest(record.digest);
+void TraceLog::push_wire_digest(std::uint8_t protocol,
+                                std::span<const std::uint8_t> wire) {
+  if (protocol == ospf::kIpProtoOspf) {
+    if (fast_ospf_digest(wire)) return;
+  } else if (protocol == 17) {  // UDP: the only UDP traffic we model is RIP
+    if (fast_rip_digest(wire)) return;
+  } else if (protocol == 6) {  // TCP: the only TCP traffic we model is BGP
+    // BGP stays on the full decoder: TCP streams are low-volume and the
+    // UPDATE digest needs parsed path attributes.
+    auto decoded = bgp::decode(wire);
+    if (decoded.ok()) {
+      const auto& msg = decoded.value();
+      BgpDigest d;
+      d.msg_type = static_cast<std::uint8_t>(msg.type());
+      if (const auto* update = std::get_if<bgp::UpdateMessage>(&msg.body)) {
+        d.as_path_len = static_cast<std::uint32_t>(update->as_path.size());
+        d.nlri_count = static_cast<std::uint16_t>(update->nlri.size());
+        d.withdrawn_count =
+            static_cast<std::uint16_t>(update->withdrawn.size());
+      } else if (const auto* notif =
+                     std::get_if<bgp::NotificationMessage>(&msg.body)) {
+        d.error_code = notif->error_code;
+      }
+      push_pooled(kDigestBgp, bgp_pool_, d);
+      return;
+    }
+  }
+  digest_ref_.push_back(kDigestNone);
 }
 
-// Header-only OSPF digest, validation-equivalent to ospf::decode for every
-// frame the simulator's encoders produce: version/type/AuType checks, the
-// §D.4 header checksum (MD5 framing for AuType 2), body shape per packet
-// type, and the per-LSA Fletcher checksum for LSUs. The one divergence is
-// deliberate: interior LSA *body* malformations (e.g. a ragged router-LSA
-// link block behind a correct Fletcher sum) pass here but fail full decode.
-// Only hand-crafted traces can contain such frames, and those enter through
-// load(), which digests via digest_frame's full decode.
+// Header-only OSPF digest: version/type/AuType checks, the §D.4 header
+// checksum (MD5 framing for AuType 2), body shape per packet type, and the
+// Fletcher checksum over each LSA's raw bytes for LSUs. It accepts every
+// frame ospf::decode accepts, with the same digest, and rejects every frame
+// decode rejects except two classes of LSU, which pass here:
+//  * interior LSA body malformations behind a correct Fletcher sum, such as
+//    a router-LSA link of type 9 or a link count above the links present
+//    (decode: "bad router link type", "truncated router-LSA body");
+//  * non-canonical encodings of otherwise valid bodies, such as a set
+//    reserved or #TOS byte in a router-LSA, or bytes after its last link:
+//    decode re-encodes the body, whose sum then no longer matches
+//    ("bad LSA Fletcher checksum").
+// The simulator's encoders produce neither, and load() gives such frames
+// no digest. TraceEdge.TapDigestsOnlyLsaBodiesFullDecodeRejects pins both
+// classes; TraceEdge.MutatedFramesDigestLikeFullDecode checks the rest.
 bool TraceLog::fast_ospf_digest(std::span<const std::uint8_t> wire) {
   constexpr std::size_t kHdr = ospf::kOspfHeaderSize;    // 24
   constexpr std::size_t kLsaHdr = ospf::kLsaHeaderSize;  // 20
@@ -368,7 +294,7 @@ bool TraceLog::fast_ospf_digest(std::span<const std::uint8_t> wire) {
   }
 
   if (lsa_count > 0) {
-    auto* slab = arena_->allocate_array<OspfDigest::LsaDigest>(lsa_count);
+    auto* slab = arena_->allocate_array<LsaDigest>(lsa_count);
     if (headers != nullptr) {  // dense 20-byte headers (DBD, LSAck)
       for (std::size_t i = 0; i < lsa_count; ++i)
         slab[i] = lsa_digest_from_header(headers + i * kLsaHdr);
@@ -383,9 +309,7 @@ bool TraceLog::fast_ospf_digest(std::span<const std::uint8_t> wire) {
     v.lsas = {slab, lsa_count};
   }
 
-  digest_ref_.push_back((kDigestOspf << kDigestKindShift) |
-                        static_cast<std::uint32_t>(ospf_pool_.size()));
-  ospf_pool_.push_back(v);
+  push_pooled(kDigestOspf, ospf_pool_, v);
   return true;
 }
 
@@ -423,9 +347,7 @@ bool TraceLog::fast_rip_digest(std::span<const std::uint8_t> wire) {
   d.full_table_request = cmd == 1 && entries == 1 && first_afi == 0 &&
                          first_metric == rip::kInfinityMetric;
 
-  digest_ref_.push_back((kDigestRip << kDigestKindShift) |
-                        static_cast<std::uint32_t>(rip_pool_.size()));
-  rip_pool_.push_back(d);
+  push_pooled(kDigestRip, rip_pool_, d);
   return true;
 }
 
@@ -437,36 +359,7 @@ void TraceLog::on_tap(const netsim::TapEvent& ev) {
   push_common(ev.time, ev.node, ev.iface, ev.direction, frame.src, frame.dst,
               frame.protocol, frame.id, frame.caused_by, state,
               keep_bytes_ ? frame.payload.retain() : nullptr);
-  // Digest straight into the pools with the header-only fast parsers;
-  // frames the full decoders would reject get no digest, exactly as
-  // before. BGP stays on the full decoder: TCP streams are low-volume and
-  // the UPDATE digest needs parsed path attributes.
-  if (frame.protocol == ospf::kIpProtoOspf) {
-    if (fast_ospf_digest(frame.payload)) return;
-  } else if (frame.protocol == 17) {
-    if (fast_rip_digest(frame.payload)) return;
-  } else if (frame.protocol == 6) {
-    auto decoded = bgp::decode(frame.payload);
-    if (decoded.ok()) {
-      const auto& msg = decoded.value();
-      BgpDigest d;
-      d.msg_type = static_cast<std::uint8_t>(msg.type());
-      if (const auto* update = std::get_if<bgp::UpdateMessage>(&msg.body)) {
-        d.as_path_len = static_cast<std::uint32_t>(update->as_path.size());
-        d.nlri_count = static_cast<std::uint16_t>(update->nlri.size());
-        d.withdrawn_count =
-            static_cast<std::uint16_t>(update->withdrawn.size());
-      } else if (const auto* notif =
-                     std::get_if<bgp::NotificationMessage>(&msg.body)) {
-        d.error_code = notif->error_code;
-      }
-      digest_ref_.push_back((kDigestBgp << kDigestKindShift) |
-                            static_cast<std::uint32_t>(bgp_pool_.size()));
-      bgp_pool_.push_back(d);
-      return;
-    }
-  }
-  digest_ref_.push_back(kDigestNone);
+  push_wire_digest(frame.protocol, frame.payload);
 }
 
 RecordView TraceLog::view(std::size_t i) const {
@@ -486,9 +379,9 @@ RecordView TraceLog::view(std::size_t i) const {
   const std::uint32_t ref = digest_ref_[i];
   const std::uint32_t idx = ref & kDigestIndexMask;
   switch (ref >> kDigestKindShift) {
-    case kDigestOspf: v.ospf_ = &ospf_pool_[idx]; break;
-    case kDigestRip: v.rip_ = &rip_pool_[idx]; break;
-    case kDigestBgp: v.bgp_ = &bgp_pool_[idx]; break;
+    case kDigestOspf: v.ospf = &ospf_pool_[idx]; break;
+    case kDigestRip: v.rip = &rip_pool_[idx]; break;
+    case kDigestBgp: v.bgp = &bgp_pool_[idx]; break;
     default: break;
   }
   return v;
@@ -530,34 +423,6 @@ void TraceLog::clear() {
   arena_->reset();
 }
 
-void TraceLog::dump(std::ostream& os, const netsim::Network& net) const {
-  for (std::size_t i = 0; i < size(); ++i) {
-    os << format_time(time_[i]) << ' ' << net.node_name(node_[i]) << " if"
-       << iface_[i] << (send_[i] ? " SEND " : " RECV ")
-       << Ipv4Addr{src_[i]}.to_string() << " -> "
-       << Ipv4Addr{dst_[i]}.to_string();
-    const std::uint32_t ref = digest_ref_[i];
-    const std::uint32_t idx = ref & kDigestIndexMask;
-    switch (ref >> kDigestKindShift) {
-      case kDigestOspf: {
-        const OspfView& o = ospf_pool_[idx];
-        os << " OSPF type=" << int(o.pkt_type) << " lsas=" << o.lsas.size();
-        break;
-      }
-      case kDigestRip: {
-        const RipDigest& r = rip_pool_[idx];
-        os << " RIP cmd=" << int(r.command) << " entries=" << r.entry_count;
-        break;
-      }
-      default:
-        os << " proto=" << int(protocol_[i]) << " ("
-           << util::SharedBytes::handle_span(bytes_[i]).size() << " bytes)";
-    }
-    if (caused_by_[i] != 0) os << " caused_by=#" << caused_by_[i];
-    os << " frame=#" << frame_id_[i] << '\n';
-  }
-}
-
 void TraceLog::save(std::ostream& os) const {
   os << "nidkit-trace v1 " << size() << '\n';
   for (std::size_t i = 0; i < size(); ++i) {
@@ -567,13 +432,8 @@ void TraceLog::save(std::ostream& os) const {
        << ' ' << observer_state_[i] << ' ';
     static constexpr char kHexDigits[] = "0123456789abcdef";
     const auto bytes = util::SharedBytes::handle_span(bytes_[i]);
-    if (bytes.empty()) {
-      os << '-';
-    } else {
-      for (const auto b : bytes) {
-        os << kHexDigits[b >> 4] << kHexDigits[b & 0xf];
-      }
-    }
+    if (bytes.empty()) os << '-';
+    for (const auto b : bytes) os << kHexDigits[b >> 4] << kHexDigits[b & 0xf];
     os << '\n';
   }
 }
@@ -587,7 +447,7 @@ Result<TraceLog> TraceLog::load(std::istream& is) {
   }
   TraceLog log;
   for (std::size_t i = 0; i < count; ++i) {
-    PacketRecord r;
+    RecordView r;
     long long time_us = 0;
     char dir = 0;
     std::uint32_t src = 0, dst = 0;
@@ -623,14 +483,21 @@ Result<TraceLog> TraceLog::load(std::istream& is) {
         bytes.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
       }
       r.bytes = util::SharedBytes(bytes);
-      // Imported bytes re-digest through the full wire codecs: external
-      // traces may carry malformations only the full decoders reject.
-      netsim::Frame reparse;
-      reparse.protocol = r.protocol;
-      reparse.payload = r.bytes;
-      r.digest = digest_frame(reparse);
     }
-    log.append(std::move(r));
+    log.push_common(r.time, r.node, r.iface, r.direction, r.src, r.dst,
+                    r.protocol, r.frame_id, r.caused_by, r.observer_state,
+                    r.bytes.retain());
+    // The one input check: a trace file may hold frames the tap's parsers
+    // accept but the full decoders reject (see fast_ospf_digest); those
+    // get no digest.
+    const bool decodes =
+        r.protocol == ospf::kIpProtoOspf ? ospf::decode(r.bytes).ok()
+        : r.protocol == 17               ? rip::decode(r.bytes).ok()
+                                         : true;
+    if (decodes)
+      log.push_wire_digest(r.protocol, r.bytes);
+    else
+      log.digest_ref_.push_back(kDigestNone);
   }
   return log;
 }

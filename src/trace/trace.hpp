@@ -6,15 +6,19 @@
 // prober snapshots router-internal state (e.g. the OSPF neighbor FSM state)
 // at each event, powering the future-work state-conditioned mining.
 //
-// Storage is columnar (SoA): each fixed-width record field lives in its own
-// flat column, protocol digests live in per-protocol pools (OSPF digests
-// with their LSA header lists laid out in arena slabs), and every column is
-// backed by one per-scenario monotonic util::Arena. Appending a record on
-// the tap path is a handful of bump-pointer pushes — no 100+-byte struct
-// construction, no per-record allocation — and scenario teardown is one
-// arena release, with the pages recycled into the next scenario's log.
+// The columns are the trace's only record shape. Each fixed-width record
+// field lives in its own flat column, protocol digests live in
+// per-protocol pools (OSPF digests with their LSA header lists laid out in
+// arena slabs), and every column is backed by one per-scenario monotonic
+// util::Arena. Appending a record on the tap path is a handful of
+// bump-pointer pushes — no per-record allocation — and scenario teardown is
+// one arena release, with the pages recycled into the next scenario's log.
 // Consumers read through RecordView (a cheap per-record materialization) or
 // straight from the column spans; the miner does the latter.
+//
+// One private function, push_wire_digest, turns wire bytes into a digest;
+// the live tap and load() both call it, so a reloaded trace is digested by
+// the same code as the capture it came from.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +29,6 @@
 #include <ostream>
 #include <span>
 #include <string>
-#include <variant>
-#include <vector>
 
 #include "netsim/network.hpp"
 #include "packet/ospf_types.hpp"
@@ -35,26 +37,26 @@
 #include "util/ip.hpp"
 #include "util/result.hpp"
 #include "util/shared_bytes.hpp"
-#include "util/small_vec.hpp"
 #include "util/time.hpp"
 
 namespace nidkit::trace {
 
+/// One LSA header as a digest carries it.
+struct LsaDigest {
+  std::uint8_t lsa_type = 0;
+  std::int32_t seq = 0;
+  std::uint16_t age = 0;
+  Ipv4Addr link_state_id;
+  RouterId advertising_router;
+};
+
 /// Parsed summary of an OSPF packet, sufficient for all keying schemes.
-struct OspfDigest {
-  std::uint8_t pkt_type = 0;  ///< wire packet type 1..5
+struct OspfView {
+  std::uint8_t pkt_type = 0;   ///< wire packet type 1..5
   std::uint8_t dbd_flags = 0;  ///< I/M/MS bits when pkt_type == 2
-  struct LsaDigest {
-    std::uint8_t lsa_type = 0;
-    std::int32_t seq = 0;
-    std::uint16_t age = 0;
-    Ipv4Addr link_state_id;
-    RouterId advertising_router;
-  };
-  /// LSA headers carried by the packet (LSU contents, LSAck/DBD headers).
-  /// Small-inline: most packets carry 0-2 headers, so the common case
-  /// costs no allocation; a DBD summarising a big LSDB spills to heap.
-  util::SmallVec<LsaDigest, 4> lsas;
+  /// LSA headers carried by the packet (LSU contents, LSAck/DBD headers),
+  /// laid out in an arena slab of the log.
+  std::span<const LsaDigest> lsas;
 
   /// Greatest LS sequence number carried, or INT32_MIN if none.
   std::int32_t max_seq() const;
@@ -77,14 +79,12 @@ struct BgpDigest {
   std::uint8_t error_code = 0;
 };
 
-/// monostate = frame did not parse as a known protocol.
-using Digest =
-    std::variant<std::monostate, OspfDigest, RipDigest, BgpDigest>;
-
-/// One captured packet event, as a standalone value. This remains the
-/// import/test-facing write format: TraceLog::append(PacketRecord)
-/// decomposes it into columns. Log reads go through RecordView.
-struct PacketRecord {
+/// One trace record, materialized from the columns. Scalars are copied
+/// out; `bytes` shares the stored payload cell; at most one digest pointer
+/// is set, and it points into the log's digest pools, valid until the log
+/// is cleared or destroyed. All null = the frame did not parse as a known
+/// protocol.
+struct RecordView {
   SimTime time{0};
   netsim::NodeId node = 0;
   netsim::IfaceIndex iface = 0;
@@ -98,72 +98,11 @@ struct PacketRecord {
   /// Raw wire bytes, sharing the frame's payload buffer (not a copy).
   /// Empty when the log runs with keep_bytes off.
   util::SharedBytes bytes;
-  Digest digest;
+  const OspfView* ospf = nullptr;
+  const RipDigest* rip = nullptr;
+  const BgpDigest* bgp = nullptr;
 
   bool is_send() const { return direction == netsim::Direction::kSend; }
-  const OspfDigest* ospf() const { return std::get_if<OspfDigest>(&digest); }
-  const RipDigest* rip() const { return std::get_if<RipDigest>(&digest); }
-  const BgpDigest* bgp() const { return std::get_if<BgpDigest>(&digest); }
-};
-
-/// OSPF digest as stored in the log's pool: same fields as OspfDigest but
-/// the LSA headers are a span into an arena slab instead of a SmallVec.
-struct OspfView {
-  std::uint8_t pkt_type = 0;
-  std::uint8_t dbd_flags = 0;
-  std::span<const OspfDigest::LsaDigest> lsas;
-
-  /// Greatest LS sequence number carried, or INT32_MIN if none.
-  std::int32_t max_seq() const;
-};
-
-/// A materialized read of one trace record. Scalars are copied out of the
-/// columns; `bytes` shares the stored payload cell; the digest accessors
-/// return pointers into the log's digest pools, which stay valid for the
-/// life of the log (a view converted from a free-standing PacketRecord
-/// instead carries the digest inline and must not outlive the record).
-class RecordView {
- public:
-  SimTime time{0};
-  netsim::NodeId node = 0;
-  netsim::IfaceIndex iface = 0;
-  netsim::Direction direction = netsim::Direction::kSend;
-  Ipv4Addr src;
-  Ipv4Addr dst;
-  std::uint8_t protocol = 0;
-  std::uint64_t frame_id = 0;
-  std::uint64_t caused_by = 0;
-  int observer_state = -1;
-  util::SharedBytes bytes;
-
-  RecordView() = default;
-  /// Implicit: keying schemes take RecordView, tests hand them
-  /// PacketRecords. The view borrows the record's digest storage (and for
-  /// OSPF spans its SmallVec), so the record must outlive the view.
-  RecordView(const PacketRecord& rec);  // NOLINT: implicit
-
-  RecordView(const RecordView& other) { *this = other; }
-  RecordView(RecordView&& other) noexcept { *this = other; }
-  RecordView& operator=(const RecordView& other);
-  RecordView& operator=(RecordView&& other) noexcept {
-    return *this = static_cast<const RecordView&>(other);
-  }
-
-  bool is_send() const { return direction == netsim::Direction::kSend; }
-  const OspfView* ospf() const { return ospf_; }
-  const RipDigest* rip() const { return rip_; }
-  const BgpDigest* bgp() const { return bgp_; }
-
- private:
-  friend class TraceLog;
-  const OspfView* ospf_ = nullptr;
-  const RipDigest* rip_ = nullptr;
-  const BgpDigest* bgp_ = nullptr;
-  /// Inline digest storage for views converted from a PacketRecord; pool-
-  /// backed views leave these untouched and point into the log instead.
-  OspfView ospf_store_;
-  RipDigest rip_store_;
-  BgpDigest bgp_store_;
 };
 
 class TraceLog {
@@ -182,17 +121,17 @@ class TraceLog {
   /// use of the tap.
   void attach(netsim::Network& net);
 
-  void set_state_prober(StateProber prober) { prober_ = std::move(prober); }
+  void set_prober(StateProber prober) { prober_ = std::move(prober); }
 
   /// Keep raw wire bytes in each record (default on; turn off to halve
   /// memory in long sweeps — digests are always kept).
   void set_keep_bytes(bool keep) { keep_bytes_ = keep; }
 
-  /// Appends a record (used when importing externally captured traces, and
-  /// by tests that need precise control over timing). This is the only
-  /// write path besides the tap itself: the record is decomposed into the
-  /// columns here. Records must be appended in non-decreasing time order.
-  void append(PacketRecord record);
+  /// Appends a hand-built record (tests that need precise control over
+  /// timing and digests): the fields go into the columns and the digest
+  /// the record points at, if any, is copied into the log's pools. Records
+  /// must be appended in non-decreasing time order.
+  void append(const RecordView& record);
 
   /// Materializes record `i`. Digest pointers in the view stay valid until
   /// the log is cleared or destroyed (they target the log's pools).
@@ -268,9 +207,6 @@ class TraceLog {
     return caused_by_.span();
   }
 
-  /// Human-readable dump, one line per record.
-  void dump(std::ostream& os, const netsim::Network& net) const;
-
   /// Serializes the trace to a line-oriented text format ("nidkit-trace
   /// v1") carrying raw wire bytes; digests are recomputed on load.
   /// Requires keep_bytes (the default) — byte-less records round-trip as
@@ -278,7 +214,8 @@ class TraceLog {
   void save(std::ostream& os) const;
 
   /// Parses a trace produced by save(). Records are re-digested through
-  /// the wire codecs, so a trace saved by a newer build is re-validated.
+  /// the tap's own digest path; bytes that ospf::decode or rip::decode
+  /// rejects get no digest, so a hand-edited trace is re-validated.
   static Result<TraceLog> load(std::istream& is);
 
   /// Forgets every record and rewinds the arena; the log is immediately
@@ -304,14 +241,20 @@ class TraceLog {
                    Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol,
                    std::uint64_t frame_id, std::uint64_t caused_by,
                    int observer_state, util::SharedBytes::Handle bytes);
+  /// The one path from wire bytes to a digest: pools the digest of a
+  /// `protocol` frame and pushes its ref, or kDigestNone if the bytes do
+  /// not parse. OSPF and RIP go through the header-only parsers below, BGP
+  /// through bgp::decode.
+  void push_wire_digest(std::uint8_t protocol,
+                        std::span<const std::uint8_t> wire);
   /// Digests an OSPF frame straight into the pools with a header-only fast
-  /// parser (validation-equivalent to ospf::decode for simulator-encoded
-  /// frames). Returns false if the frame does not validate.
+  /// parser. Returns false if the frame does not validate.
   bool fast_ospf_digest(std::span<const std::uint8_t> wire);
-  /// Same for RIP (proto 17). Returns false if the frame does not validate.
+  /// Same for RIP (proto 17), validation-equivalent to rip::decode.
   bool fast_rip_digest(std::span<const std::uint8_t> wire);
-  /// Copies a decoded digest into the pools and pushes the digest ref.
-  void push_digest(const Digest& digest);
+  /// Adds `digest` to `pool` and pushes its ref.
+  template <typename T>
+  void push_pooled(DigestKind kind, util::ArenaVec<T>& pool, const T& digest);
   void index_record(netsim::NodeId node, std::size_t index);
   void release_bytes() noexcept;
 
@@ -344,8 +287,5 @@ class TraceLog {
   StateProber prober_;
   bool keep_bytes_ = true;
 };
-
-/// Parses a frame into a protocol digest (OSPF proto 89, RIP proto 17).
-Digest digest_frame(const netsim::Frame& frame);
 
 }  // namespace nidkit::trace

@@ -1,12 +1,11 @@
 // Small-inline vector for trivially copyable elements.
 //
-// Digest structures (OspfDigest::lsas in particular) hold a handful of
-// fixed-size entries per packet — a hello carries none, a typical LSU one
-// or two — yet std::vector heap-allocates for every non-empty digest, and
-// every trace record owns one. SmallVec keeps the first N elements inline
-// and only spills to the heap for outliers (a DBD summarising a large
-// LSDB). Restricted to trivially copyable T so relocation is memcpy and
-// the type stays easy to audit.
+// The SPF kernel's next-hop sets (ospf::SpfScratch::HopSet) hold a handful of
+// router ids per destination — almost always one, a few under ECMP — yet
+// std::vector heap-allocates for every non-empty set. SmallVec keeps the
+// first N elements inline and only spills to the heap for outliers.
+// Restricted to trivially copyable T so relocation is memcpy and the type
+// stays easy to audit.
 #pragma once
 
 #include <algorithm>

@@ -63,11 +63,9 @@ TEST(Key, EveryScenarioKnobChangesTheKey) {
       {"link_loss", kOspf, [](auto& s) { s.link_loss = 0.003; }},
       {"duration", kOspf, [](auto& s) { s.duration = 181s; }},
       {"seed", kOspf, [](auto& s) { s.seed = 2; }},
-      {"lsa_refresh", kOspf, [](auto& s) { s.lsa_refresh = 1s; }},
       {"churn_times.value", kOspf, [](auto& s) { s.churn_times[0] += 1s; }},
       {"churn_times.count", kOspf,
        [](auto& s) { s.churn_times.push_back(150s); }},
-      {"state_probe", kOspf, [](auto& s) { s.state_probe = false; }},
   };
 
   std::vector<std::pair<std::string, ScenarioKey>> keys;
@@ -122,8 +120,8 @@ TEST(Key, SchemeAndPayloadKindChangeTheKey) {
 TEST(Key, KeepBytesIrrelevant) {
   // keep_bytes only controls whether raw wire bytes are retained in trace
   // records; the miner reads digests, so it must NOT perturb the key —
-  // otherwise --keep-bytes runs would never share cache entries with
-  // default runs despite producing identical mined results.
+  // otherwise a byte-keeping run would never share cache entries with
+  // experiment runs despite producing identical mined results.
   harness::Scenario with_bytes, without_bytes;
   with_bytes.keep_bytes = true;
   without_bytes.keep_bytes = false;

@@ -78,11 +78,11 @@ class MigrationTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(MigrationTest, FormatVersionIsFive) {
-  // Version 5 dropped the per-entry run summary, which nothing read.
-  // Bump this (and add a skew case below) the next time the entry layout
-  // changes.
-  EXPECT_EQ(kCacheFormatVersion, 5u);
+TEST_F(MigrationTest, FormatVersionIsSix) {
+  // Version 6 stopped hashing the deleted state-probe and LSA-refresh
+  // scenario knobs. Bump this (and add a skew case below) the next time the key
+  // derivation or the entry layout changes.
+  EXPECT_EQ(kCacheFormatVersion, 6u);
 }
 
 TEST_F(MigrationTest, CoverageRoundTripsThroughCodec) {
@@ -111,7 +111,7 @@ TEST_F(MigrationTest, CoverageRoundTripsThroughTheStore) {
 TEST_F(MigrationTest, OlderFormatEntryDecodesAsAMiss) {
   const auto key = key_for_seed(3);
   const auto bytes = encode_entry(key, covered_entry());
-  for (const std::uint32_t version : {3u, 4u}) {
+  for (const std::uint32_t version : {3u, 4u, 5u}) {
     const auto skewed = with_version(bytes, version);
     EXPECT_EQ(peek_entry_format(skewed), version);
     EXPECT_FALSE(decode_entry(key, skewed).has_value());

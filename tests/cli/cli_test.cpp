@@ -221,6 +221,11 @@ TEST(Cli, EveryCommandRejectsBadFlags) {
   expect_usage_error({"audit", "--stats", "inline"}, "--stats");
   expect_usage_error({"sweep", "--stats", "s.json"}, "--stats");
   expect_usage_error({"audit", "--coverage-out", "c.json"}, "--coverage-out");
+  // Experiment traces always drop the raw bytes; the switch that kept them
+  // is gone from every command that took it.
+  for (const char* command : {"audit", "coverage", "triage", "stability",
+                              "sweep"})
+    expect_usage_error({command, "--keep-bytes"}, "--keep-bytes");
 }
 
 TEST(Cli, FlagsAtTheirMaximumRun) {

@@ -88,7 +88,7 @@ TEST(BgpScenario, TraceContainsBgpDigests) {
   const auto r = run_scenario(bgp_scenario(bgp::bgp_robust_profile()));
   std::size_t updates = 0, longpaths = 0, keepalives = 0;
   for (const auto& rec : r.log.records()) {
-    const auto* b = rec.bgp();
+    const auto* b = rec.bgp;
     if (b == nullptr) continue;
     if (b->msg_type == 2) {
       ++updates;

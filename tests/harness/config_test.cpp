@@ -39,8 +39,6 @@ TEST(Config, ScenarioForCopiesExperimentKnobs) {
   c.link_jitter = 33ms;
   c.link_loss = 0.007;
   c.duration = 99s;
-  c.lsa_refresh = 31s;
-  c.keep_bytes = true;
   c.churn_times = {25s, 45s, 77s};
   const auto s = c.scenario_for(topo::Spec{topo::Kind::kRing, 4}, 42);
   EXPECT_EQ(s.topology.kind, topo::Kind::kRing);
@@ -50,8 +48,6 @@ TEST(Config, ScenarioForCopiesExperimentKnobs) {
   EXPECT_EQ(s.link_jitter, SimDuration{33ms});
   EXPECT_DOUBLE_EQ(s.link_loss, 0.007);
   EXPECT_EQ(s.duration, SimDuration{99s});
-  EXPECT_EQ(s.lsa_refresh, SimDuration{31s});
-  EXPECT_TRUE(s.keep_bytes);
   ASSERT_EQ(s.churn_times.size(), 3u);
   EXPECT_EQ(s.churn_times[0], SimTime{25s});
   EXPECT_EQ(s.churn_times[2], SimTime{77s});
@@ -66,14 +62,11 @@ TEST(Config, ChurnDefaultMatchesScenarioDefault) {
 
 TEST(Config, KeepBytesDefaultsOffForExperimentsOnForScenarios) {
   // Direct scenario runs (trace/pcap export) need the wire bytes; the
-  // mining pipelines read digests only, so experiments drop the buffers
-  // unless the user opts in with --keep-bytes.
+  // mining pipelines read digests only, so experiments drop the buffers.
   EXPECT_TRUE(Scenario{}.keep_bytes);
-  ExperimentConfig c;
-  EXPECT_FALSE(c.keep_bytes);
-  EXPECT_FALSE(c.scenario_for(topo::Spec{topo::Kind::kRing, 4}, 1).keep_bytes);
-  c.keep_bytes = true;
-  EXPECT_TRUE(c.scenario_for(topo::Spec{topo::Kind::kRing, 4}, 1).keep_bytes);
+  EXPECT_FALSE(ExperimentConfig{}
+                   .scenario_for(topo::Spec{topo::Kind::kRing, 4}, 1)
+                   .keep_bytes);
 }
 
 TEST(Config, JobsIsAnExecutorKnobNotAScenarioKnob) {
@@ -99,7 +92,6 @@ TEST(Config, JobsIsAnExecutorKnobNotAScenarioKnob) {
   EXPECT_EQ(s8.link_jitter, s1.link_jitter);
   EXPECT_DOUBLE_EQ(s8.link_loss, s1.link_loss);
   EXPECT_EQ(s8.duration, s1.duration);
-  EXPECT_EQ(s8.lsa_refresh, s1.lsa_refresh);
   EXPECT_EQ(s8.seed, s1.seed);
   EXPECT_EQ(s8.keep_bytes, s1.keep_bytes);
 }

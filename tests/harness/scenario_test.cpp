@@ -121,14 +121,6 @@ TEST(Scenario, StateProbeAnnotatesRecords) {
   EXPECT_TRUE(any_probed);
 }
 
-TEST(Scenario, StateProbeOffLeavesUnknown) {
-  Scenario s;
-  s.state_probe = false;
-  const auto r = run_scenario(s);
-  for (const auto& rec : r.log.records())
-    EXPECT_EQ(rec.observer_state, -1);
-}
-
 TEST(Scenario, RipScenarioConverges) {
   Scenario s;
   s.protocol = Protocol::kRip;

@@ -5,21 +5,41 @@
 namespace nidkit::mining {
 namespace {
 
-trace::PacketRecord ospf_record(std::uint8_t pkt_type,
-                                std::vector<trace::OspfDigest::LsaDigest> lsas = {},
-                                int state = -1) {
-  trace::PacketRecord r;
-  trace::OspfDigest d;
-  d.pkt_type = pkt_type;
-  for (const auto& l : lsas) d.lsas.push_back(l);
-  r.digest = d;
-  r.observer_state = state;
-  return r;
+/// A hand-built record: owns the digest its view points at. Immovable, so
+/// the view's pointers stay valid; the factories below return it as a
+/// prvalue, which is constructed in place.
+struct Rec {
+  std::vector<trace::LsaDigest> lsas;
+  trace::OspfView ospf;
+  trace::RipDigest rip;
+  trace::BgpDigest bgp;
+  trace::RecordView view;
+
+  Rec() = default;
+  Rec(std::uint8_t pkt_type, std::uint8_t dbd_flags,
+      std::vector<trace::LsaDigest> l, int state)
+      : lsas(std::move(l)) {
+    ospf.pkt_type = pkt_type;
+    ospf.dbd_flags = dbd_flags;
+    ospf.lsas = lsas;
+    view.ospf = &ospf;
+    view.observer_state = state;
+  }
+  explicit Rec(trace::RipDigest r) : rip(r) { view.rip = &rip; }
+  explicit Rec(trace::BgpDigest b) : bgp(b) { view.bgp = &bgp; }
+  Rec(const Rec&) = delete;
+  Rec& operator=(const Rec&) = delete;
+
+  operator const trace::RecordView&() const { return view; }  // NOLINT
+};
+
+Rec ospf_record(std::uint8_t pkt_type, std::vector<trace::LsaDigest> lsas = {},
+                int state = -1) {
+  return Rec(pkt_type, 0, std::move(lsas), state);
 }
 
-trace::OspfDigest::LsaDigest lsa(std::uint8_t type, std::uint32_t adv,
-                                 std::int32_t seq) {
-  trace::OspfDigest::LsaDigest l;
+trace::LsaDigest lsa(std::uint8_t type, std::uint32_t adv, std::int32_t seq) {
+  trace::LsaDigest l;
   l.lsa_type = type;
   l.link_state_id = Ipv4Addr{adv};
   l.advertising_router = RouterId{adv};
@@ -27,15 +47,13 @@ trace::OspfDigest::LsaDigest lsa(std::uint8_t type, std::uint32_t adv,
   return l;
 }
 
-trace::PacketRecord rip_record(std::uint8_t command, bool full,
-                               std::uint32_t max_metric = 1) {
-  trace::PacketRecord r;
+Rec rip_record(std::uint8_t command, bool full,
+               std::uint32_t max_metric = 1) {
   trace::RipDigest d;
   d.command = command;
   d.full_table_request = full;
   d.max_metric = max_metric;
-  r.digest = d;
-  return r;
+  return Rec(d);
 }
 
 TEST(TypeScheme, LabelsAllFiveTypes) {
@@ -50,7 +68,7 @@ TEST(TypeScheme, LabelsAllFiveTypes) {
 TEST(TypeScheme, NonOspfExcluded) {
   const auto s = ospf_type_scheme();
   EXPECT_FALSE(s.stimulus(rip_record(2, false)).has_value());
-  trace::PacketRecord junk;
+  const Rec junk;
   EXPECT_FALSE(s.stimulus(junk).has_value());
 }
 
@@ -122,13 +140,8 @@ TEST(LsaTypeScheme, ListsCarriedTypes) {
             "LSU[router,external]");
 }
 
-trace::PacketRecord dbd_record(std::uint8_t flags) {
-  trace::PacketRecord r;
-  trace::OspfDigest d;
-  d.pkt_type = 2;
-  d.dbd_flags = flags;
-  r.digest = d;
-  return r;
+Rec dbd_record(std::uint8_t flags) {
+  return Rec(2, flags, {}, -1);
 }
 
 TEST(DbdFlagsScheme, LabelsFlagCombinations) {
@@ -146,17 +159,14 @@ TEST(DbdFlagsScheme, NonDbdPacketsKeepTypeLabels) {
   EXPECT_FALSE(s.stimulus(rip_record(2, false)).has_value());
 }
 
-trace::PacketRecord bgp_record(std::uint8_t type, std::uint32_t path_len = 0,
-                               std::uint16_t nlri = 0,
-                               std::uint16_t withdrawn = 0) {
-  trace::PacketRecord r;
+Rec bgp_record(std::uint8_t type, std::uint32_t path_len = 0,
+               std::uint16_t nlri = 0, std::uint16_t withdrawn = 0) {
   trace::BgpDigest d;
   d.msg_type = type;
   d.as_path_len = path_len;
   d.nlri_count = nlri;
   d.withdrawn_count = withdrawn;
-  r.digest = d;
-  return r;
+  return Rec(d);
 }
 
 TEST(BgpScheme, MessageLabels) {

@@ -21,16 +21,16 @@ struct TraceBuilder {
   std::uint64_t add(netsim::NodeId node, Direction dir, SimTime t,
                     std::uint8_t pkt_type, std::uint64_t caused_by = 0) {
     const std::uint64_t id = next_id++;
-    trace::PacketRecord r;
+    trace::OspfView d;
+    d.pkt_type = pkt_type;
+    trace::RecordView r;
     r.node = node;
     r.direction = dir;
     r.time = t;
     r.frame_id = id;
     r.caused_by = caused_by;
-    trace::OspfDigest d;
-    d.pkt_type = pkt_type;
-    r.digest = d;
-    log.append(std::move(r));
+    r.ospf = &d;
+    log.append(r);
     return id;
   }
 };

@@ -187,7 +187,7 @@ TEST(OspfCodec, CorruptedHeaderRejected) {
 
 TEST(OspfCodec, TruncatedPacketRejected) {
   auto wire = encode(make_packet(kR1, kBackboneArea, HelloBody{}));
-  wire.resize(wire.size() - 1);
+  wire.pop_back();
   EXPECT_FALSE(decode(wire).ok());
 }
 

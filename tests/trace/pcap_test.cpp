@@ -105,7 +105,7 @@ TEST(Pcap, DirectionFilterHalvesPointToPointTrace) {
 
 TEST(Pcap, ByteLessRecordsSkipped) {
   TraceLog log;
-  PacketRecord rec;
+  RecordView rec;
   rec.time = SimTime{1s};
   log.append(rec);
   std::ostringstream os;

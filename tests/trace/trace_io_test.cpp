@@ -52,8 +52,8 @@ TEST(TraceIo, DigestsRecomputedOnLoad) {
   const auto out = TraceLog::load(buf);
   ASSERT_TRUE(out.ok());
   for (std::size_t i = 0; i < out.value().size(); ++i) {
-    const auto* a = original.records()[i].ospf();
-    const auto* b = out.value().records()[i].ospf();
+    const auto* a = original.records()[i].ospf;
+    const auto* b = out.value().records()[i].ospf;
     ASSERT_EQ(a == nullptr, b == nullptr) << "record " << i;
     if (a != nullptr) {
       EXPECT_EQ(a->pkt_type, b->pkt_type);
@@ -149,7 +149,7 @@ TEST(TraceIo, EmptyTraceRoundTrips) {
 
 TEST(TraceIo, ByteLessRecordsRoundTripAsUndecodable) {
   TraceLog log;
-  PacketRecord r;
+  RecordView r;
   r.time = SimTime{1s};
   r.protocol = 89;
   log.append(r);  // no bytes
@@ -159,7 +159,7 @@ TEST(TraceIo, ByteLessRecordsRoundTripAsUndecodable) {
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out.value().size(), 1u);
   EXPECT_TRUE(out.value().records()[0].bytes.empty());
-  EXPECT_EQ(out.value().records()[0].ospf(), nullptr);
+  EXPECT_EQ(out.value().records()[0].ospf, nullptr);
 }
 
 }  // namespace
