@@ -70,7 +70,15 @@ bool Simulator::step() {
 
 void Simulator::run_until(SimTime deadline) {
   while (!heap_.empty()) {
-    const Event& top = heap_.front();
+    const Event top = heap_.front();
+    if (slots_[top.slot].cancelled) {
+      // Dropped here, before the deadline check: step() would skip it and
+      // run the next live event however far past the deadline.
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
+      release_slot(top.slot);
+      continue;
+    }
     if (top.when > deadline) break;
     step();
   }

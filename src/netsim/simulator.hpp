@@ -65,7 +65,8 @@ class Simulator {
   /// Executes the next non-cancelled event. Returns false if none remain.
   bool step();
 
-  /// Runs events with time <= deadline, then advances the clock to
+  /// Runs events with time <= deadline and none later (cancelled events
+  /// at the front are dropped first), then advances the clock to
   /// `deadline` even if the queue drained early.
   void run_until(SimTime deadline);
 

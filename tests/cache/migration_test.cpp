@@ -80,7 +80,8 @@ class MigrationTest : public ::testing::Test {
 
 TEST_F(MigrationTest, FormatVersionIsSix) {
   // Version 6 stopped hashing the deleted state-probe and LSA-refresh
-  // scenario knobs. Bump this (and add a skew case below) the next time the key
+  // scenario knobs, and its metrics come from a run_until that no longer
+  // runs one event past its deadline. Bump this (and add a skew case below) the next time the key
   // derivation or the entry layout changes.
   EXPECT_EQ(kCacheFormatVersion, 6u);
 }

@@ -169,21 +169,13 @@ class ScheduleModel {
           ASSERT_GT(pending_.begin()->first.first, deadline)
               << "run_until left an event due by its deadline";
         }
-        // When the last events due by the deadline are cancelled ones,
-        // step() skips them and runs the next live event however late it
-        // is. Scenario outputs depend on that today, so the model bounds
-        // it: at most one late event, the last one run, and the clock at
-        // its time.
-        std::size_t late = 0;
+        // Nothing past the deadline runs, even when the last events due
+        // by it are cancelled ones, and the clock ends on the deadline (or
+        // stays put when the deadline lies behind it).
         for (std::size_t i = before; i < ran_.size(); ++i)
-          if (keys_[ran_[i]].first > deadline) ++late;
-        ASSERT_LE(late, 1u) << "run_until ran past its deadline twice";
-        if (late == 1) {
-          ASSERT_GT(keys_[ran_.back()].first, deadline);
-          ASSERT_EQ(sim_.now(), keys_[ran_.back()].first);
-        } else {
-          ASSERT_EQ(sim_.now(), clock);
-        }
+          ASSERT_LE(keys_[ran_[i]].first, deadline)
+              << "run_until ran event " << ran_[i] << " past its deadline";
+        ASSERT_EQ(sim_.now(), clock);
       }
       if (::testing::Test::HasFatalFailure()) return;
     }
