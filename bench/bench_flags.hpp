@@ -1,7 +1,7 @@
 // Tiny argv helper shared by the bench drivers: the figure binaries take
 // no positional arguments, only an optional `--jobs N` for the parallel
-// experiment executor (0 = hardware concurrency; results are identical
-// for every N, only wall-clock changes).
+// experiment executor (0 = one worker per CPU in the affinity mask;
+// results are identical for every N, only wall-clock changes).
 #pragma once
 
 #include <cstdio>

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/log.hpp"
-
 namespace nidkit::bgp {
 
 BgpProfile bgp_robust_profile() {
@@ -178,9 +176,6 @@ void BgpRouter::set_session_state(Peer& peer, SessionState to) {
 void BgpRouter::session_established(Peer& peer) {
   set_session_state(peer, SessionState::kEstablished);
   peer.retry_timer.cancel();
-  NIDKIT_LOG(kInfo, net_.sim().now(), "bgp",
-             "AS" << config_.as_number << " session with AS" << peer.peer_as
-                  << " established");
   // Initial table push: everything in loc-RIB.
   for (const auto& [prefix, source] : best_source_)
     peer.pending.insert(prefix);
@@ -257,9 +252,6 @@ void BgpRouter::handle_update(Peer& peer, const UpdateMessage& update,
   const auto limit = config_.profile.as_path_accept_limit;
   if (limit != 0 && update.as_path.size() > limit) {
     ++stats_.long_path_rejects;
-    NIDKIT_LOG(kWarn, net_.sim().now(), "bgp",
-               "AS" << config_.as_number << " rejects AS_PATH of length "
-                    << update.as_path.size() << " from AS" << peer.peer_as);
     send_notification(peer, kErrorUpdateMessage, kSubcodeMalformedAsPath,
                       frame_id);
     reset_session(peer, /*send_cease=*/false);

@@ -128,16 +128,16 @@ int usage(std::ostream& out) {
          "  help\n"
          "\n"
          "  --jobs N parallelizes scenario execution over N workers\n"
-         "  (default: hardware concurrency; results are identical for\n"
-         "  every N).\n"
+         "  (default: one per CPU this process may run on; results are\n"
+         "  identical for every N).\n"
          "  --cache-dir DIR memoizes per-scenario results on disk, keyed\n"
          "  by every simulation-affecting knob; repeat runs (audit, sweep,\n"
          "  stability) replay hits instead of re-simulating, with byte-\n"
          "  identical output. NIDKIT_CACHE_DIR sets a default directory;\n"
          "  --no-cache overrides both.\n"
          "  Telemetry (audit, sweep, triage, stability, coverage), one\n"
-         "  file each: --stats-out FILE writes executor wall-time, queue\n"
-         "  and cache telemetry. --metrics-out FILE writes the run record,\n"
+         "  file each: --stats-out FILE writes executor wall-time and\n"
+         "  cache telemetry. --metrics-out FILE writes the run record,\n"
          "  one section per line: \"sim\" (simulated-time counters) and\n"
          "  \"cov\" (behavioral coverage) are bit-identical for every\n"
          "  --jobs value and cache temperature; \"wall\" holds wall-clock\n"
@@ -334,7 +334,7 @@ std::optional<harness::ExperimentConfig> config_from(const Args& args,
       return std::nullopt;
     }
   }
-  // 0 keeps the default: as many workers as the hardware allows.
+  // 0 keeps the default: one worker per CPU this process may run on.
   if (const auto jobs = args.get_int("jobs"))
     config.jobs = static_cast<std::size_t>(*jobs);
   config.cache_dir = resolve_cache_dir(args);

@@ -1,24 +1,25 @@
 // Cache-aware scenario fan-out.
 //
-// The bridge between the parallel executor and the result cache, shared by
-// every experiment entry point (mine_*/audit_*/tdelay_sweep/stability).
+// The bridge between run_indexed and the result cache, shared by every
+// experiment entry point (mine_*/audit_*/tdelay_sweep/stability/triage).
 // Given a canonical job list it:
 //
 //   1. derives each job's content-addressed ScenarioKey;
-//   2. serves cache hits without touching the executor;
+//   2. serves cache hits without running them;
 //   3. collapses in-flight duplicate keys — a key appearing several times
 //      in one fan-out is computed once and its result fanned in to every
 //      duplicate (the serial path would recompute; the results are
 //      identical by the determinism contract, so dedup is invisible);
-//   4. fans only the remaining misses out to the worker pool, stores each
+//   4. fans only the remaining misses out to the workers, stores each
 //      computed entry (one record appended to the store's own segment,
 //      see cache::Store), and returns all results in canonical job order.
 //
-// With no store configured it degenerates to the plain executor fan-out.
-// Hit/miss/dedup/store counts accumulate into the ExecReport, so
-// --stats-out exposes cache effectiveness without perturbing report
-// determinism. Every result — computed or replayed — then folds into the
-// run's obs::RunRecord, when one is attached, in canonical job order.
+// With no store configured, steps 1–3 are skipped: no key is hashed, no
+// duplicate collapses and every job runs. Hit/miss/dedup counts
+// accumulate into the ExecReport, so --stats-out exposes cache
+// effectiveness without perturbing report determinism. Every result —
+// computed or replayed — then folds into the run's obs::RunRecord, when
+// one is attached, in canonical job order.
 #pragma once
 
 #include <functional>

@@ -124,17 +124,6 @@ mining::RelationSet mine_rip(const rip::RipProfile& profile,
   return merge_in_order(mine_jobs(jobs, config, scheme, exec));
 }
 
-mining::RelationSet mine_bgp(const bgp::BgpProfile& profile,
-                             const ExperimentConfig& config,
-                             const mining::KeyScheme& scheme,
-                             ExecReport* exec) {
-  auto jobs = scenario_jobs(config, profile.name, [&](Scenario& s) {
-    s.protocol = Protocol::kBgp;
-    s.bgp_profile = profile;
-  });
-  return merge_in_order(mine_jobs(jobs, config, scheme, exec));
-}
-
 std::vector<detect::NamedRelations> AuditResult::named() const {
   std::vector<detect::NamedRelations> out;
   for (const auto& name : names)

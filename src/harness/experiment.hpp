@@ -41,8 +41,9 @@ struct ExperimentConfig {
   /// Scenario's.
   std::vector<SimTime> churn_times = {60s, 110s};
   /// Worker threads for fanning out (topology, seed, implementation)
-  /// scenarios. 0 = hardware_concurrency, 1 = the serial reference path.
-  /// Results are bit-identical for every value (see parallel.hpp).
+  /// scenarios. 0 = one per CPU this process may run on (its affinity
+  /// mask), 1 = the serial reference path. Results are bit-identical for
+  /// every value (see parallel.hpp).
   std::size_t jobs = 0;
   /// Directory of the persistent scenario-result cache (see cache::Store).
   /// Empty — the default — disables caching. Executor-level knob like
@@ -99,23 +100,16 @@ mining::RelationSet mine_rip(const rip::RipProfile& profile,
                              const mining::KeyScheme& scheme,
                              ExecReport* exec = nullptr);
 
-/// Same for a BGP variant. Scenarios include the long-path churn workload
-/// (the incident stimulus) so AS_PATH-handling differences surface.
-mining::RelationSet mine_bgp(const bgp::BgpProfile& profile,
-                             const ExperimentConfig& config,
-                             const mining::KeyScheme& scheme,
-                             ExecReport* exec = nullptr);
-
 /// Full audit: mine every implementation, compare pairwise. All
 /// (implementation, topology, seed) scenarios share one fan-out, so the
-/// pool stays busy even while the widest topology of one implementation
+/// workers stay busy even while the widest topology of one implementation
 /// is still simulating.
 struct AuditResult {
   std::vector<std::string> names;
   std::map<std::string, mining::RelationSet> by_impl;
   std::vector<detect::Discrepancy> discrepancies;
-  /// Execution telemetry (worker count, per-scenario wall times, queue
-  /// depth). Nondeterministic by nature — kept out of the report JSON;
+  /// Execution telemetry (worker count, per-scenario wall times, cache
+  /// counts). Nondeterministic by nature — kept out of the report JSON;
   /// cli --stats-out writes it to its own file.
   ExecReport exec;
 

@@ -38,17 +38,16 @@ namespace {
 /// Largest LS sequence number carried by an OSPF digest, or INT32_MIN.
 std::int32_t max_seq(const trace::OspfView& d) { return d.max_seq(); }
 
-}  // namespace
-
-InjectionOutcome inject_and_observe(const InjectionConfig& config) {
+/// inject_and_observe's probe, on the caller's fresh simulator and
+/// network.
+InjectionOutcome probe(const InjectionConfig& config, netsim::Simulator& sim,
+                       netsim::Network& net) {
   InjectionOutcome outcome;
   outcome.stimulus = config.stimulus;  // echo the requested label
   // Dispatch on the canonical label so aliases cannot diverge from their
   // targets ("" — unsupported — falls through every branch below).
   const std::string stimulus = injection_canonical_stimulus(config.stimulus);
 
-  netsim::Simulator sim;
-  netsim::Network net(sim, config.seed);
   const netsim::NodeId prober_node = net.add_node("prober");
   const netsim::NodeId target_node = net.add_node("target");
   net.add_p2p(prober_node, target_node);
@@ -167,6 +166,17 @@ InjectionOutcome inject_and_observe(const InjectionConfig& config) {
       outcome.responses.insert(label + "+gtSN");
     }
   }
+  return outcome;
+}
+
+}  // namespace
+
+InjectionOutcome inject_and_observe(const InjectionConfig& config) {
+  netsim::Simulator sim;
+  netsim::Network net(sim, config.seed);
+  InjectionOutcome outcome = probe(config, sim, net);
+  // After every return path of the probe, even the early ones.
+  count_simulation(sim, net);
   return outcome;
 }
 

@@ -2,8 +2,8 @@
 //
 // Every (topology, seed, implementation) scenario the paper's evaluation
 // runs is an independent single-threaded simulation, so the experiment
-// layer fans them out to a fixed-size worker pool. Determinism is
-// preserved by construction rather than by synchronization discipline:
+// layer fans them out with run_indexed. Determinism is preserved by
+// construction rather than by synchronization discipline:
 //
 //   * each scenario is tagged with its *canonical index* — its position
 //     in the serial (implementation, topology, seed) loop nest;
@@ -17,15 +17,15 @@
 // kept out of the report JSON and surfaced separately via ExecReport.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <future>
+#include <cstdint>
+#include <exception>
 #include <string>
-#include <utility>
+#include <thread>
 #include <vector>
-
-#include "obs/obs.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nidkit::harness {
 
@@ -41,7 +41,6 @@ struct TaskTiming {
 /// relations, so emitting it cannot perturb determinism.
 struct ExecReport {
   std::size_t jobs = 1;              ///< worker count used
-  std::size_t max_queue_depth = 0;   ///< pool queue high-water mark
   std::uint64_t tasks_run = 0;       ///< scenarios executed
   double wall_ms = 0.0;              ///< wall time of the fan-out(s)
   std::vector<TaskTiming> tasks;     ///< canonical index order
@@ -54,111 +53,84 @@ struct ExecReport {
   /// The hits read from a segment on disk; the rest are entries the same
   /// store put earlier in the run.
   std::uint64_t cache_pack_hits = 0;
-  std::uint64_t cache_misses = 0;  ///< scenarios simulated (and stored)
+  std::uint64_t cache_misses = 0;  ///< scenarios simulated and stored
   /// Scenarios whose key duplicated an earlier scenario of the same
   /// fan-out: computed (or fetched) once, fanned in to every duplicate.
   std::uint64_t cache_dedup = 0;
-  std::uint64_t cache_stores = 0;  ///< entries written to the store
 
   /// Folds another fan-out's telemetry into this one (tasks append with
-  /// re-based indices; wall times add; depth takes the max).
+  /// re-based indices; wall times add; jobs takes the max).
   void accumulate(const ExecReport& other);
 
-  /// {"jobs":N,"max_queue_depth":...,"tasks_run":...,"wall_ms":...,
+  /// {"jobs":N,"tasks_run":...,"wall_ms":...,
   ///  "cache":{"hits":...,"pack_hits":...,"misses":...,
-  ///           "in_flight_dedup":...,"stores":...},
+  ///           "in_flight_dedup":...},
   ///  "scenarios":[{"index":i,"label":"...","wall_ms":...},...]}
   /// The cache object appears only when cache_enabled. This is the
   /// --stats-out file; what the run simulated is in the obs::RunRecord.
   std::string to_json() const;
 };
 
-/// Fans indexed tasks out to a fixed worker pool and returns their results
-/// in canonical index order. jobs == 1 degenerates to a plain serial loop
-/// on the calling thread (no pool, no futures) — the reference path the
-/// parallel one must match bit-for-bit.
-class ParallelExecutor {
- public:
-  /// jobs == 0 means "as many workers as the hardware allows".
-  explicit ParallelExecutor(std::size_t jobs = 0)
-      : jobs_(jobs == 0 ? default_worker_count() : jobs) {
-    report_.jobs = jobs_;
-  }
+/// The worker count for `jobs`: `jobs` itself, or for 0 the number of
+/// CPUs this process may run on (its affinity mask), never less than 1.
+std::size_t worker_count(std::size_t jobs);
 
-  std::size_t jobs() const { return jobs_; }
+/// Runs fn(0) .. fn(count-1) on up to worker_count(jobs) threads, the
+/// calling thread among them, and returns the results in canonical index
+/// order. Each worker takes the next index from one atomic counter and
+/// writes only that index's slots; one worker (jobs 1, a one-CPU default,
+/// or a one-task batch) is a plain loop on the calling thread — the
+/// reference path every other width must match bit-for-bit. Every index
+/// runs even when some throw; once all workers stop, the exception of the
+/// lowest failing index propagates. Per-task wall times, labelled
+/// labels[i] (labels may be empty), append to `report`.
+template <typename Fn>
+auto run_indexed(std::size_t jobs, std::size_t count,
+                 const std::vector<std::string>& labels, Fn&& fn,
+                 ExecReport& report)
+    -> std::vector<decltype(fn(std::size_t{0}))> {
+  using Clock = std::chrono::steady_clock;
+  const auto ms_since = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+  };
+  const std::size_t workers = worker_count(jobs);
+  const auto fanout_start = Clock::now();
 
-  /// Runs fn(0) .. fn(count-1), each labeled by labels[i] (labels may be
-  /// empty), and returns the results indexed canonically. Per-task wall
-  /// times and queue-depth counters land in report().
-  template <typename Fn>
-  auto run_indexed(std::size_t count, const std::vector<std::string>& labels,
-                   Fn&& fn) -> std::vector<decltype(fn(std::size_t{0}))> {
-    using R = decltype(fn(std::size_t{0}));
-    using Clock = std::chrono::steady_clock;
-
-    std::vector<TaskTiming> timings(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      timings[i].index = i;
-      if (i < labels.size()) timings[i].label = labels[i];
-    }
-
-    const auto fanout_start = Clock::now();
-    std::vector<R> results;
-    results.reserve(count);
-
-    auto timed = [&fn, &timings](std::size_t i) -> R {
+  std::vector<decltype(fn(std::size_t{0}))> results(count);
+  std::vector<double> wall_ms(count);
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (;;) {
+      const std::size_t i = next++;
+      if (i >= count) return;
       const auto start = Clock::now();
-      R value = fn(i);
-      timings[i].wall_ms =  // each task writes only its own slot
-          std::chrono::duration<double, std::milli>(Clock::now() - start)
-              .count();
-      return value;
-    };
-
-    if (jobs_ <= 1) {
-      for (std::size_t i = 0; i < count; ++i) results.push_back(timed(i));
-      report_.tasks_run += count;
-    } else {
-      ThreadPool pool(jobs_);
-      std::vector<std::future<R>> futures;
-      futures.reserve(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        // Enqueue timestamp → queue-wait span, recorded on the worker the
-        // moment it picks the task up. Wall-clock only; never deterministic.
-        const std::int64_t enqueued_us = obs::enabled() ? obs::now_us() : -1;
-        futures.push_back(pool.submit([&timed, &timings, i, enqueued_us] {
-          if (enqueued_us >= 0 && obs::enabled()) {
-            obs::Registry::instance().record_span(
-                "queue-wait", timings[i].label, enqueued_us, obs::now_us());
-          }
-          return timed(i);
-        }));
+      try {
+        results[i] = fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
       }
-      // Collect in canonical index order; completion order is irrelevant.
-      for (auto& f : futures) results.push_back(f.get());
-      const auto counters = pool.counters();
-      report_.tasks_run += counters.tasks_run;
-      if (counters.max_queue_depth > report_.max_queue_depth)
-        report_.max_queue_depth = counters.max_queue_depth;
+      wall_ms[i] = ms_since(start);
     }
-
-    report_.wall_ms +=
-        std::chrono::duration<double, std::milli>(Clock::now() - fanout_start)
-            .count();
-    const std::size_t base = report_.tasks.size();
-    report_.tasks.insert(report_.tasks.end(),
-                         std::make_move_iterator(timings.begin()),
-                         std::make_move_iterator(timings.end()));
-    for (std::size_t i = base; i < report_.tasks.size(); ++i)
-      report_.tasks[i].index = i;
-    return results;
+  };
+  {
+    std::vector<std::jthread> helpers;  // joined on scope exit
+    for (std::size_t w = 1; w < std::min(workers, count); ++w)
+      helpers.emplace_back(work);
+    work();
   }
+  for (const auto& error : errors)
+    if (error) std::rethrow_exception(error);
 
-  const ExecReport& report() const { return report_; }
-
- private:
-  std::size_t jobs_;
-  ExecReport report_;
-};
+  report.jobs = std::max(report.jobs, workers);
+  report.tasks_run += count;
+  report.wall_ms += ms_since(fanout_start);
+  const std::size_t base = report.tasks.size();
+  for (std::size_t i = 0; i < count; ++i)
+    report.tasks.push_back(
+        TaskTiming{base + i, i < labels.size() ? labels[i] : "", wall_ms[i]});
+  return results;
+}
 
 }  // namespace nidkit::harness

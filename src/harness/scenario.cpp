@@ -27,6 +27,13 @@ std::size_t expected_adjacency_endpoints(const topo::Spec& spec) {
   return 0;
 }
 
+void count_simulation(const netsim::Simulator& sim,
+                      const netsim::Network& net) {
+  obs::Registry::instance().add_process_counts(
+      {sim.executed(), sim.scheduled(), net.frames_delivered(),
+       net.frames_dropped()});
+}
+
 ScenarioResult run_scenario(const Scenario& scenario) {
   return run_scenario(scenario, Workspace::of_current_thread());
 }
@@ -305,6 +312,7 @@ ScenarioResult run_scenario(const Scenario& scenario, Workspace& ws) {
 
   result.frames_delivered = net.frames_delivered();
   result.frames_dropped = net.frames_dropped();
+  count_simulation(sim, net);
 
   // Deterministic simulated-time metric deltas. These live in the result
   // (and in cache entries) so a warm cache run replays exactly the numbers

@@ -109,6 +109,14 @@ ScenarioResult run_scenario(const Scenario& scenario);
 /// and benchmarks that manage workspace lifetime themselves.
 ScenarioResult run_scenario(const Scenario& scenario, Workspace& ws);
 
+/// Adds a finished simulation's own totals (events run and scheduled,
+/// frames delivered and dropped) to the wall registry's process counters;
+/// a no-op while recording is off. run_scenario and inject_and_observe
+/// call it once per simulation, so the event loop itself never reads the
+/// registry.
+void count_simulation(const netsim::Simulator& sim,
+                      const netsim::Network& net);
+
 /// Expected number of Full adjacency endpoints for a topology (2 per
 /// p2p link; LAN: 2*(n-1) DR-centric pairs... computed per spec).
 std::size_t expected_adjacency_endpoints(const topo::Spec& spec);

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/obs.hpp"
-
 namespace nidkit::netsim {
 
 namespace {
@@ -148,7 +146,6 @@ void Network::send(NodeId node, IfaceIndex iface, Frame frame) {
 
   if (seg.fault.down) {
     ++frames_dropped_;
-    obs::count(obs::Hot::kFramesDropped);
     return;
   }
 
@@ -170,7 +167,6 @@ void Network::send(NodeId node, IfaceIndex iface, Frame frame) {
 
     if (seg.fault.loss > 0 && seg.rng.chance(seg.fault.loss)) {
       ++frames_dropped_;
-      obs::count(obs::Hot::kFramesDropped);
       continue;
     }
     // deliver copies the frame into its in-flight closure, but a Frame
@@ -208,7 +204,6 @@ void Network::deliver(SegmentId segment, Attachment& to, const Frame& frame,
   sim_.schedule_at(arrival, [this, segment, dst_node, dst_iface,
                              f = frame]() {
     ++frames_delivered_;
-    obs::count(obs::Hot::kFramesDelivered);
     if (tap_) {
       tap_(TapEvent{sim_.now(), dst_node, dst_iface, segment,
                     Direction::kRecv, &f});

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/obs.hpp"
-
 namespace nidkit::netsim {
 
 std::uint32_t Simulator::acquire_slot() {
@@ -36,7 +34,6 @@ TimerHandle Simulator::schedule_at(SimTime when, Action action) {
   s.action = std::move(action);
   heap_.push_back(Event{when, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  obs::count(obs::Hot::kTimersScheduled);
   return TimerHandle{this, slot, s.generation};
 }
 
@@ -61,7 +58,6 @@ bool Simulator::step() {
     release_slot(ev.slot);
     now_ = ev.when;
     ++executed_;
-    obs::count(obs::Hot::kEventsExecuted);
     action();
     return true;
   }

@@ -76,6 +76,8 @@ class Simulator {
 
   std::size_t pending() const { return heap_.size(); }
   std::uint64_t executed() const { return executed_; }
+  /// Events scheduled since construction or reset(), cancelled ones too.
+  std::uint64_t scheduled() const { return next_seq_; }
 
   /// Returns the simulator to its just-constructed state — clock at
   /// kSimStart, empty queue, zeroed counters — while keeping the event

@@ -42,20 +42,6 @@ std::uint32_t lane_id(std::atomic<std::uint32_t>& next) {
   return tid;
 }
 
-/// Per-thread hot-counter block, registered with the registry for its
-/// lifetime; on thread exit the block's totals fold into the retired
-/// base so no samples are lost.
-struct ThreadHot {
-  Registry::HotBlock block;
-  ThreadHot() { Registry::instance().attach_hot_block(&block); }
-  ~ThreadHot() { Registry::instance().detach_hot_block(&block); }
-};
-
-Registry::HotBlock& hot_block() {
-  thread_local ThreadHot t;
-  return t.block;
-}
-
 /// `"<domain>":{"counters":{...},"histograms":{...}` — the caller closes
 /// the object (the wall section appends its span count first).
 void append_section(std::string& out, const char* domain,
@@ -95,13 +81,6 @@ void append_section(std::string& out, const char* domain,
 void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
-
-namespace detail {
-void count_slow(Hot which, std::uint64_t n) {
-  hot_block().slots[static_cast<std::size_t>(which)].fetch_add(
-      n, std::memory_order_relaxed);
-}
-}  // namespace detail
 
 std::int64_t now_us() {
   using Clock = std::chrono::steady_clock;
@@ -238,9 +217,7 @@ void Registry::reset() {
   std::lock_guard lock(mutex_);
   histograms_.clear();
   spans_.clear();
-  hot_retired_.fill(0);
-  for (HotBlock* block : hot_blocks_)
-    for (auto& slot : block->slots) slot.store(0, std::memory_order_relaxed);
+  hot_.fill(0);
 }
 
 void Registry::record_span(std::string_view name, std::string label,
@@ -264,36 +241,21 @@ std::size_t Registry::span_count() const {
   return spans_.size();
 }
 
-std::uint64_t Registry::hot_total(std::size_t slot) const {
-  std::uint64_t total = hot_retired_[slot];
-  for (const HotBlock* block : hot_blocks_)
-    total += block->slots[slot].load(std::memory_order_relaxed);
-  return total;
-}
-
 std::uint64_t Registry::hot_counter(Hot which) const {
   std::lock_guard lock(mutex_);
-  return hot_total(static_cast<std::size_t>(which));
+  return hot_[static_cast<std::size_t>(which)];
 }
 
-void Registry::attach_hot_block(HotBlock* block) {
+void Registry::add_process_counts(const HotCounts& counts) {
+  if (!enabled()) return;
   std::lock_guard lock(mutex_);
-  hot_blocks_.push_back(block);
-}
-
-void Registry::detach_hot_block(HotBlock* block) {
-  std::lock_guard lock(mutex_);
-  for (std::size_t i = 0; i < kHotCount; ++i)
-    hot_retired_[i] += block->slots[i].load(std::memory_order_relaxed);
-  hot_blocks_.erase(
-      std::remove(hot_blocks_.begin(), hot_blocks_.end(), block),
-      hot_blocks_.end());
+  for (std::size_t i = 0; i < kHotCount; ++i) hot_[i] += counts[i];
 }
 
 std::string Registry::wall_json() const {
   std::lock_guard lock(mutex_);
   const auto slot = [this](Hot h) {
-    return hot_total(static_cast<std::size_t>(h));
+    return hot_[static_cast<std::size_t>(h)];
   };
   const Counters process = {
       {"process.events_executed", slot(Hot::kEventsExecuted)},

@@ -16,23 +16,19 @@
 //    them on a hit instead of re-simulating).
 //
 //  * wall clock — the process-wide Registry: phase spans (simulate / mine
-//    / merge / cache-lookup / cache-store / queue-wait) recorded per worker
-//    thread and exported as Chrome trace-event JSON (loads in
-//    ui.perfetto.dev, one lane per worker), their duration histograms, and
-//    live process counters bumped on the event hot path. It lands in the
-//    "wall" section, which determinism comparisons strip. It stays
-//    process-wide because the event loop's hot counters and the spans that
-//    workers record at any call depth need a gate they can read without a
-//    handle threaded down to them.
+//    / merge / cache-lookup / cache-store) recorded per worker thread and
+//    exported as Chrome trace-event JSON (loads in ui.perfetto.dev, one
+//    lane per worker), their duration histograms, and the process
+//    counters: each simulation adds its simulator's and network's own
+//    totals once, when it finishes. It lands in the "wall" section, which
+//    determinism comparisons strip. It stays process-wide because workers
+//    record spans at any call depth and need a gate they can read without
+//    a handle threaded down to them.
 //
 // Cost model: every wall recording operation is behind enabled() — one
-// relaxed atomic bool load. Disabled (the default), the event hot path pays
-// a single predictable branch: no stores, no locks, no allocation. Enabled,
-// the hot path still allocates nothing (the AllocBudget LAN-flood tests
-// check both states); hot counters land in per-thread slots (relaxed
-// atomics, never shared between threads), and spans — a handful per
-// scenario, never per event — take a mutex off the hot path. A run without
-// a record folds nothing.
+// relaxed atomic bool load. Nothing on the event hot path reads the
+// registry; spans and process counts — a handful per scenario, never per
+// event — take a mutex. A run without a record folds nothing.
 #pragma once
 
 #include <array>
@@ -62,10 +58,9 @@ inline bool enabled() {
 }
 void set_enabled(bool on);
 
-/// Hot-path process counters (wall domain: they reflect what *this
-/// process* executed, so a warm cache legitimately shows fewer events
-/// than a cold one). Bumped from the simulator/network inner loops, so
-/// the disabled cost must stay at one branch.
+/// Process counters (wall domain: they reflect what *this process*
+/// simulated, so a warm cache legitimately shows fewer events than a cold
+/// one).
 enum class Hot : std::size_t {
   kEventsExecuted = 0,  ///< simulator events run (all scenarios, live)
   kTimersScheduled,     ///< events pushed into simulator heaps
@@ -73,17 +68,8 @@ enum class Hot : std::size_t {
   kFramesDropped,       ///< frames dropped by loss or down segments
 };
 inline constexpr std::size_t kHotCount = 4;
-
-namespace detail {
-void count_slow(Hot which, std::uint64_t n);
-}  // namespace detail
-
-/// Adds `n` to a hot counter. Disabled: one relaxed load + branch.
-/// Enabled: a relaxed add on this thread's private slot.
-inline void count(Hot which, std::uint64_t n = 1) {
-  if (!enabled()) return;
-  detail::count_slow(which, n);
-}
+/// One value per counter, indexed by Hot.
+using HotCounts = std::array<std::uint64_t, kHotCount>;
 
 /// Microseconds since the process's observability epoch (first use).
 /// Monotonic; shared by every span so trace lanes line up.
@@ -191,7 +177,7 @@ struct SpanEvent {
 };
 
 /// The process-wide wall-clock registry: spans, their duration histograms
-/// and the hot counters.
+/// and the process counters.
 class Registry {
  public:
   static Registry& instance();
@@ -199,7 +185,7 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Drops all spans and histograms and rebases per-thread hot slots. The
+  /// Drops all spans and histograms and zeroes the process counters. The
   /// enabled flag is left untouched.
   void reset();
 
@@ -219,23 +205,17 @@ class Registry {
   /// one lane per recording thread, with thread_name metadata.
   void write_trace_json(std::ostream& os) const;
 
-  // ---- hot-counter plumbing (used by the per-thread blocks) ----
-  struct HotBlock {
-    std::array<std::atomic<std::uint64_t>, kHotCount> slots{};
-  };
-  void attach_hot_block(HotBlock* block);
-  void detach_hot_block(HotBlock* block);
+  /// Adds one finished simulation's totals to the process counters. Does
+  /// nothing while recording is off.
+  void add_process_counts(const HotCounts& counts);
 
  private:
   Registry() = default;
 
-  std::uint64_t hot_total(std::size_t slot) const;  ///< caller holds mutex_
-
   mutable std::mutex mutex_;
   Histograms histograms_;
   std::vector<SpanEvent> spans_;
-  std::vector<HotBlock*> hot_blocks_;
-  std::array<std::uint64_t, kHotCount> hot_retired_{};
+  HotCounts hot_{};
   std::atomic<std::uint32_t> next_tid_{0};
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ospf/router.hpp"
-#include "util/log.hpp"
 
 namespace nidkit::ospf {
 
@@ -75,14 +74,7 @@ void Router::handle_dbd(OspfInterface& oi, Neighbor& n, const DbdBody& dbd) {
   // outright. With both sides checking, an MTU mismatch wedges the
   // adjacency in ExStart — each side retransmitting its negotiation DBD
   // forever — which is exactly how the failure presents on real routers.
-  if (config_.profile.check_mtu && dbd.interface_mtu > config_.mtu) {
-    NIDKIT_LOG(kWarn, now(), "ospf",
-               config_.router_id.to_string()
-                   << " rejects DBD from " << n.id.to_string() << ": MTU "
-                   << dbd.interface_mtu << " exceeds ours (" << config_.mtu
-                   << ")");
-    return;
-  }
+  if (config_.profile.check_mtu && dbd.interface_mtu > config_.mtu) return;
   switch (n.state) {
     case NeighborState::kDown:
     case NeighborState::kInit:
@@ -256,10 +248,6 @@ void Router::handle_lsr(OspfInterface& oi, Neighbor& n,
 }
 
 void Router::seq_number_mismatch(OspfInterface& oi, Neighbor& n) {
-  NIDKIT_LOG(kDebug, now(), "ospf",
-             config_.router_id.to_string()
-                 << " SeqNumberMismatch with " << n.id.to_string()
-                 << ", restarting exchange");
   n.db_summary.clear();
   n.ls_requests.clear();
   n.outstanding_requests.clear();
@@ -286,9 +274,6 @@ void Router::loading_check(OspfInterface& oi, Neighbor& n) {
 void Router::neighbor_full(OspfInterface& oi, Neighbor& n) {
   set_neighbor_state(n, NeighborState::kFull);
   n.lsr_rxmt_timer.cancel();
-  NIDKIT_LOG(kInfo, now(), "ospf",
-             config_.router_id.to_string() << " adjacency with "
-                                           << n.id.to_string() << " is Full");
   originate_router_lsa();
   if (oi.is_lan && oi.state == InterfaceState::kDr) originate_network_lsa(oi);
 }

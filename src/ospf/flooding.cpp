@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "ospf/router.hpp"
-#include "util/log.hpp"
 
 namespace nidkit::ospf {
 

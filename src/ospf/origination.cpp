@@ -7,7 +7,6 @@
 // greater-LS-SN packet relationships (the paper's Table 2) appear within a
 // short run.
 #include "ospf/router.hpp"
-#include "util/log.hpp"
 
 namespace nidkit::ospf {
 
@@ -51,9 +50,6 @@ void Router::self_originate(Lsa lsa, std::uint64_t cause) {
   last_origination_[key] = now();
   ++stats_.lsa_installs;
   ++stats_.self_originations;
-  NIDKIT_LOG(kDebug, now(), "ospf",
-             config_.router_id.to_string()
-                 << " originates " << lsa.header.to_string());
   flood(key, /*except=*/nullptr, cause);
   schedule_refresh(key);
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/log.hpp"
-
 namespace nidkit::ospf {
 
 std::string to_string(NeighborState s) {
@@ -345,9 +343,6 @@ void Router::handle_hello(OspfInterface& oi, const OspfPacket& pkt,
 void Router::neighbor_inactivity(OspfInterface& oi, RouterId nbr) {
   auto it = oi.neighbors.find(nbr);
   if (it == oi.neighbors.end()) return;
-  NIDKIT_LOG(kDebug, now(), "ospf",
-             config_.router_id.to_string() << " neighbor " << nbr.to_string()
-                                           << " dead (inactivity)");
   destroy_neighbor(oi, it->second);
   oi.neighbors.erase(it);
   if (oi.is_lan && oi.state >= InterfaceState::kDrOther) run_dr_election(oi);
@@ -490,11 +485,6 @@ void Router::run_dr_election(OspfInterface& oi) {
   stats_.dr_role_mask |= 1ull << static_cast<unsigned>(oi.state);
 
   if (!(old_dr == dr) || !(old_bdr == bdr)) {
-    NIDKIT_LOG(kDebug, now(), "ospf",
-               config_.router_id.to_string()
-                   << " election on if" << oi.index << ": DR="
-                   << dr.to_string() << " BDR=" << bdr.to_string() << " ("
-                   << to_string(oi.state) << ")");
     check_adjacencies(oi);
     originate_router_lsa();
     if (oi.state == InterfaceState::kDr) {

@@ -96,6 +96,7 @@ Result<LsaBody> decode_body(LsaType type, std::span<const std::uint8_t> raw) {
         const std::uint8_t lt = r.u8();
         r.skip(1);
         link.metric = r.u16();
+        if (!r.ok()) return fail("truncated router-LSA body");
         if (lt < 1 || lt > 4)
           return fail("bad router link type " + std::to_string(lt));
         link.type = static_cast<RouterLinkType>(lt);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/log.hpp"
-
 namespace nidkit::rip {
 
 RipProfile rip_classic_profile() {

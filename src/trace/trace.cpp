@@ -206,8 +206,9 @@ void TraceLog::push_wire_digest(std::uint8_t protocol,
 //    decode re-encodes the body, whose sum then no longer matches
 //    ("bad LSA Fletcher checksum").
 // The simulator's encoders produce neither, and load() gives such frames
-// no digest. TraceEdge.TapDigestsOnlyLsaBodiesFullDecodeRejects pins both
-// classes; TraceEdge.MutatedFramesDigestLikeFullDecode checks the rest.
+// no digest. TraceEdge.TapDigestsMalformedLsaBodiesFullDecodeRejects pins
+// both classes; TraceEdge.MutatedFramesDigestLikeFullDecode checks the
+// rest.
 bool TraceLog::fast_ospf_digest(std::span<const std::uint8_t> wire) {
   constexpr std::size_t kHdr = ospf::kOspfHeaderSize;    // 24
   constexpr std::size_t kLsaHdr = ospf::kLsaHeaderSize;  // 20

@@ -71,7 +71,7 @@ TEST(Config, KeepBytesDefaultsOffForExperimentsOnForScenarios) {
 
 TEST(Config, JobsIsAnExecutorKnobNotAScenarioKnob) {
   ExperimentConfig c;
-  // 0 = "use the hardware"; the executor resolves it, the scenarios never
+  // 0 = "one per CPU"; the executor resolves it, the scenarios never
   // see it. Changing jobs must not change any scenario parameter — that
   // is half of the determinism contract (the other half is the canonical
   // merge order, pinned in parallel_executor_test.cpp).

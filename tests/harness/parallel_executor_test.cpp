@@ -4,12 +4,17 @@
 // merged relation sets, audit output and report JSON are bit-identical to
 // the serial path. These tests pin that contract for every experiment
 // entry point that fans out: mine, audit, stability, and the TDelay
-// sweep.
+// sweep — plus run_indexed's own order, exception and default-width
+// rules.
 #include "harness/parallel.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <atomic>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "detect/json.hpp"
@@ -158,19 +163,67 @@ TEST(ParallelExecutor, ExecReportListsEveryScenarioCanonically) {
 }
 
 TEST(ParallelExecutor, RunIndexedReturnsCanonicalOrder) {
-  ParallelExecutor exec(4);
-  const auto results = exec.run_indexed(
-      40, {}, [](std::size_t i) { return i * i; });
+  ExecReport report;
+  const auto results = run_indexed(
+      4, 40, {}, [](std::size_t i) { return i * i; }, report);
   ASSERT_EQ(results.size(), 40u);
   for (std::size_t i = 0; i < results.size(); ++i)
     EXPECT_EQ(results[i], i * i);
-  EXPECT_EQ(exec.report().tasks_run, 40u);
-  EXPECT_EQ(exec.report().tasks.size(), 40u);
+  EXPECT_EQ(report.jobs, 4u);
+  EXPECT_EQ(report.tasks_run, 40u);
+  EXPECT_EQ(report.tasks.size(), 40u);
 }
 
-TEST(ParallelExecutor, JobsZeroMeansHardware) {
-  ParallelExecutor exec(0);
-  EXPECT_EQ(exec.jobs(), default_worker_count());
+TEST(ParallelExecutor, RunIndexedRethrowsTheLowestFailingIndex) {
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE(jobs);
+    std::vector<std::atomic<int>> ran(64);
+    ExecReport report;
+    try {
+      run_indexed(
+          jobs, ran.size(), {},
+          [&ran](std::size_t i) {
+            ++ran[i];
+            if (i == 9 || i == 40)
+              throw std::runtime_error("index " + std::to_string(i));
+            return i;
+          },
+          report);
+      ADD_FAILURE() << "no exception reached the caller";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 9");
+    }
+    // A failing index stops no worker: every index still ran, once.
+    for (std::size_t i = 0; i < ran.size(); ++i)
+      EXPECT_EQ(ran[i].load(), 1) << i;
+  }
+}
+
+TEST(ParallelExecutor, DefaultJobsFollowTheAffinityMask) {
+  // Narrow this thread to one CPU it may already run on: the default
+  // width must then be one worker, which is the serial path on the
+  // calling thread — so the default can never be slower than --jobs 1.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+
+  const std::size_t narrowed = worker_count(0);
+  ExecReport report;
+  const auto ids = run_indexed(
+      0, 8, {}, [](std::size_t) { return std::this_thread::get_id(); },
+      report);
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+
+  EXPECT_EQ(narrowed, 1u);
+  EXPECT_EQ(report.jobs, 1u);
+  for (const auto id : ids) EXPECT_EQ(id, std::this_thread::get_id());
+  EXPECT_EQ(worker_count(0), static_cast<std::size_t>(CPU_COUNT(&saved)));
+  EXPECT_EQ(worker_count(3), 3u);
 }
 
 TEST(ParallelExecutor, AccumulateRebasesIndices) {
@@ -183,13 +236,11 @@ TEST(ParallelExecutor, AccumulateRebasesIndices) {
   b.jobs = 4;
   b.tasks_run = 2;
   b.wall_ms = 5;
-  b.max_queue_depth = 7;
   b.tasks = {{0, "p", 4}, {1, "q", 5}};
   a.accumulate(b);
   EXPECT_EQ(a.jobs, 4u);
   EXPECT_EQ(a.tasks_run, 5u);
   EXPECT_EQ(a.wall_ms, 15);
-  EXPECT_EQ(a.max_queue_depth, 7u);
   ASSERT_EQ(a.tasks.size(), 5u);
   EXPECT_EQ(a.tasks[3].index, 3u);
   EXPECT_EQ(a.tasks[3].label, "p");

@@ -3,7 +3,7 @@
 // The zero-allocation contract: once warm (timer slab grown, event-heap
 // vector at capacity, payload encoded), scheduling a timer, re-arming it,
 // and fanning a frame out across a LAN must not touch the heap at all —
-// with the wall registry on or off, and with a cleared TraceLog attached.
+// also with a cleared TraceLog attached.
 // This binary links nidkit_alloc_count, which replaces the global operator
 // new/delete with counting versions, so the assertion below is exact — one
 // stray allocation per event fails the build's test suite, not a profiler
@@ -15,7 +15,6 @@
 
 #include "netsim/network.hpp"
 #include "netsim/simulator.hpp"
-#include "obs/obs.hpp"
 #include "trace/trace.hpp"
 #include "util/alloc_count.hpp"
 
@@ -101,18 +100,6 @@ TEST(AllocBudget, SteadyStateHelloFloodIsAllocationFree) {
   EXPECT_EQ(lan.flood(2'000), 0u)
       << "frame delivery allocated on the steady-state path";
   EXPECT_EQ(lan.delivered, 28'000u);  // 4000 sends x 7 receivers
-}
-
-TEST(AllocBudget, ObsEnabledHelloFloodIsAllocationFree) {
-  // With the wall registry on, every hook is a relaxed add into this
-  // thread's hot-counter block, which the warm-up attaches.
-  obs::set_enabled(true);
-  LanFlood lan;
-  lan.flood(2'500);
-  const auto allocs = lan.flood(20'000);
-  obs::set_enabled(false);
-  EXPECT_EQ(allocs, 0u) << "an enabled registry allocated per event";
-  EXPECT_EQ(lan.delivered, 157'500u);  // 140,000 measured
 }
 
 TEST(AllocBudget, RetracedHelloFloodReusesTheTraceArena) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "harness/experiment.hpp"
+#include "harness/injection.hpp"
 #include "obs/obs.hpp"
 
 namespace nidkit::harness {
@@ -113,6 +114,63 @@ TEST_F(ObsDeterminismTest, SweepSimSectionStableAcrossJobsAndCache) {
   EXPECT_EQ(reference, run(4, false));
   EXPECT_EQ(reference, run(2, true));   // cold cache
   EXPECT_EQ(reference, run(8, true));   // warm cache, different width
+}
+
+TEST_F(ObsDeterminismTest, ProcessCountersAddEachSimulationOnce) {
+  using obs::Hot;
+  const auto& reg = obs::Registry::instance();
+  const auto process = [&reg] {
+    obs::HotCounts counts;
+    for (std::size_t i = 0; i < obs::kHotCount; ++i)
+      counts[i] = reg.hot_counter(static_cast<Hot>(i));
+    return counts;
+  };
+  const auto at = [](const obs::HotCounts& counts, Hot which) {
+    return counts[static_cast<std::size_t>(which)];
+  };
+  // A cold paper audit at --jobs 4: every scenario simulates once on some
+  // worker and adds its own totals when it finishes.
+  ExperimentConfig c;
+  c.record = &record_;
+  c.jobs = 4;
+  c.cache_dir = dir_;
+  const std::vector<ospf::BehaviorProfile> impls = {ospf::frr_profile(),
+                                                    ospf::bird_profile()};
+  audit_ospf(impls, c, mining::ospf_type_scheme());
+  const obs::HotCounts cold = process();
+  ASSERT_GT(record_.counter("sim.frames_dropped"), 0u);
+  EXPECT_EQ(at(cold, Hot::kEventsExecuted),
+            record_.counter("sim.events_executed"));
+  EXPECT_EQ(at(cold, Hot::kFramesDelivered),
+            record_.counter("sim.frames_delivered"));
+  EXPECT_EQ(at(cold, Hot::kFramesDropped),
+            record_.counter("sim.frames_dropped"));
+  // Scheduled counts every event run, cancelled or left pending.
+  EXPECT_GT(at(cold, Hot::kTimersScheduled), at(cold, Hot::kEventsExecuted));
+
+  // A warm rerun replays every scenario from the store: nothing simulates.
+  record_ = {};
+  audit_ospf(impls, c, mining::ospf_type_scheme());
+  EXPECT_EQ(process(), cold);
+
+  // An injection probe is one more simulation. Its counts land on the
+  // return path that injects, identically on a repeat, and on the early
+  // return where no adjacency formed yet.
+  InjectionConfig probe;
+  probe.target_profile = ospf::bird_profile();
+  probe.stimulus = "LSU";
+  ASSERT_TRUE(inject_and_observe(probe).injected);
+  const obs::HotCounts once = process();
+  EXPECT_GT(at(once, Hot::kEventsExecuted), at(cold, Hot::kEventsExecuted));
+  EXPECT_GT(at(once, Hot::kFramesDelivered), at(cold, Hot::kFramesDelivered));
+  ASSERT_TRUE(inject_and_observe(probe).injected);
+  const obs::HotCounts twice = process();
+  for (std::size_t i = 0; i < obs::kHotCount; ++i)
+    EXPECT_EQ(twice[i] - once[i], once[i] - cold[i]) << i;
+  probe.inject_at = 1s;
+  ASSERT_FALSE(inject_and_observe(probe).injected);
+  EXPECT_GT(at(process(), Hot::kEventsExecuted),
+            at(twice, Hot::kEventsExecuted));
 }
 
 TEST_F(ObsDeterminismTest, DisabledRegistryStaysEmpty) {

@@ -1,4 +1,4 @@
-// Unit contract of nidkit::obs: ScenarioMetrics canonical form, hot
+// Unit contract of nidkit::obs: ScenarioMetrics canonical form, process
 // counters behind the enabled() gate, RunRecord scenario merging, span
 // recording and the line-structured JSON snapshots.
 #include "obs/obs.hpp"
@@ -59,21 +59,23 @@ TEST(ScenarioMetricsTest, EqualityIsValueBased) {
 
 TEST_F(ObsTest, CountIsNoOpWhenDisabled) {
   set_enabled(false);
-  count(Hot::kEventsExecuted, 100);
-  count(Hot::kFramesDropped);
+  Registry::instance().add_process_counts({100, 0, 0, 1});
   EXPECT_EQ(Registry::instance().hot_counter(Hot::kEventsExecuted), 0u);
   EXPECT_EQ(Registry::instance().hot_counter(Hot::kFramesDropped), 0u);
 }
 
 TEST_F(ObsTest, CountAccumulatesAcrossThreads) {
-  count(Hot::kEventsExecuted, 5);
-  count(Hot::kEventsExecuted);
-  // A worker thread writes its own slot; on exit the slot folds into the
-  // retired base, so nothing is lost when the thread goes away.
-  std::thread worker([] { count(Hot::kEventsExecuted, 7); });
+  auto& reg = Registry::instance();
+  reg.add_process_counts({5, 9, 0, 0});
+  reg.add_process_counts({1, 0, 2, 0});
+  // Simulations finish on worker threads; each adds under the registry's
+  // lock, so every count lands whichever thread adds it.
+  std::thread worker([&reg] { reg.add_process_counts({7, 0, 0, 3}); });
   worker.join();
-  EXPECT_EQ(Registry::instance().hot_counter(Hot::kEventsExecuted), 13u);
-  EXPECT_EQ(Registry::instance().hot_counter(Hot::kTimersScheduled), 0u);
+  EXPECT_EQ(reg.hot_counter(Hot::kEventsExecuted), 13u);
+  EXPECT_EQ(reg.hot_counter(Hot::kTimersScheduled), 9u);
+  EXPECT_EQ(reg.hot_counter(Hot::kFramesDelivered), 2u);
+  EXPECT_EQ(reg.hot_counter(Hot::kFramesDropped), 3u);
 }
 
 TEST_F(ObsTest, MergeScenarioAddsCountersAndFeedsHistograms) {
@@ -160,7 +162,7 @@ TEST_F(ObsTest, MetricsJsonIsLineStructured) {
   v.add(cov::chaos(cov::ChaosClass::kLoss));
   RunRecord record;
   record.merge_scenario(m, v);
-  count(Hot::kEventsExecuted, 7);
+  Registry::instance().add_process_counts({7, 0, 0, 0});
 
   // Each section lives on one line so determinism checks can extract the
   // deterministic ones with a line-oriented tool.
@@ -185,7 +187,7 @@ TEST_F(ObsTest, ResetClearsEveryDomain) {
   record.merge_scenario(m, {});
   auto& reg = Registry::instance();
   reg.record_span("simulate", "x", 0, 10);
-  count(Hot::kFramesDelivered, 3);
+  reg.add_process_counts({0, 0, 3, 0});
 
   // The wall registry resets in place; a record resets by being replaced.
   reg.reset();

@@ -337,8 +337,7 @@ TEST(TraceEdge, TapDigestsMalformedLsaBodiesFullDecodeRejects) {
       {"reserved byte set", 49, 0x01, "bad LSA Fletcher checksum"},
       {"#TOS byte set", 61, 0x01, "bad LSA Fletcher checksum"},
       {"link type 9", 60, 9, "bad router link type 9"},
-      // The missing link reads as zeros, so its type check fires first.
-      {"count 2, one link", 51, 2, "bad router link type 0"},
+      {"count 2, one link", 51, 2, "truncated router-LSA body"},
       // The one link becomes 12 trailing bytes, still inside the lengths.
       {"count 0, 12 trailing bytes", 51, 0, "bad LSA Fletcher checksum"},
   };

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace nidkit {
 namespace {
 
@@ -39,7 +41,7 @@ TEST(ByteWriter, SignedRoundTripsThroughU32) {
 
 TEST(ByteWriter, AppendsRawBytesAndZeros) {
   ByteWriter w;
-  const std::uint8_t data[] = {1, 2, 3};
+  const std::vector<std::uint8_t> data = {1, 2, 3};
   w.bytes(data);
   w.zeros(2);
   ASSERT_EQ(w.size(), 5u);
@@ -109,7 +111,7 @@ TEST(ByteReader, BytesPastEndFails) {
 }
 
 TEST(ByteReader, SkipAdvances) {
-  const std::uint8_t data[] = {1, 2, 3};
+  const std::vector<std::uint8_t> data = {1, 2, 3};
   ByteReader r(data);
   r.skip(2);
   EXPECT_EQ(r.u8(), 3);
