@@ -12,6 +12,7 @@
 #include <sched.h>
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -224,6 +225,101 @@ TEST(ParallelExecutor, DefaultJobsFollowTheAffinityMask) {
   for (const auto id : ids) EXPECT_EQ(id, std::this_thread::get_id());
   EXPECT_EQ(worker_count(0), static_cast<std::size_t>(CPU_COUNT(&saved)));
   EXPECT_EQ(worker_count(3), 3u);
+}
+
+TEST(ParallelExecutor, JobsZeroMeansHardware) {
+  // jobs 0 is the hardware this process may use: one worker per CPU of its
+  // affinity mask, never more than the host has.
+  ExecReport report;
+  run_indexed(0, 1, {}, [](std::size_t i) { return i; }, report);
+  EXPECT_EQ(report.jobs, worker_count(0));
+  if (const unsigned hardware = std::thread::hardware_concurrency()) {
+    EXPECT_LE(worker_count(0), hardware);
+  }
+}
+
+// run_indexed's workers are the experiment layer's thread pool; this suite
+// holds them to a pool's contract.
+TEST(ThreadPool, DefaultWorkerCountIsAtLeastOne) {
+  EXPECT_GE(worker_count(0), 1u);
+}
+
+TEST(ThreadPool, FuturesCarryResultsBack) {
+  std::vector<std::string> labels;
+  for (int i = 0; i < 32; ++i) labels.push_back("task-" + std::to_string(i));
+  ExecReport report;
+  const auto results = run_indexed(
+      4, labels.size(), labels,
+      [](std::size_t i) { return static_cast<int>(i * i); }, report);
+  ASSERT_EQ(results.size(), 32u);
+  ASSERT_EQ(report.tasks.size(), 32u);
+  for (int i = 0; i < 32; ++i) {
+    EXPECT_EQ(results[i], i * i);
+    EXPECT_EQ(report.tasks[i].label, labels[i]);
+  }
+}
+
+TEST(ThreadPool, EveryTaskRunsEvenWithOneWorker) {
+  std::atomic<int> sum{0};
+  ExecReport report;
+  run_indexed(
+      1, 100, {},
+      [&sum](std::size_t i) { return sum += static_cast<int>(i) + 1; },
+      report);
+  EXPECT_EQ(sum.load(), 5050);
+  EXPECT_EQ(report.jobs, 1u);
+  EXPECT_EQ(report.tasks_run, 100u);
+}
+
+TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
+  std::atomic<int> ok{0};
+  ExecReport report;
+  EXPECT_THROW(run_indexed(
+                   2, 2, {},
+                   [&ok](std::size_t i) -> int {
+                     if (i == 1) throw std::runtime_error("scenario failed");
+                     return ok = 7;
+                   },
+                   report),
+               std::runtime_error);
+  EXPECT_EQ(ok.load(), 7);
+}
+
+TEST(ThreadPool, AnExceptionDoesNotKillTheWorker) {
+  // One worker: index 0 throws, and the same worker still runs index 1.
+  std::atomic<int> after{0};
+  ExecReport report;
+  EXPECT_THROW(run_indexed(
+                   1, 2, {},
+                   [&after](std::size_t i) -> int {
+                     if (i == 0) throw std::runtime_error("boom");
+                     return after = 42;
+                   },
+                   report),
+               std::runtime_error);
+  EXPECT_EQ(after.load(), 42);
+}
+
+TEST(ThreadPool, ManyWorkersManyTasks) {
+  ExecReport report;
+  const auto results = run_indexed(
+      8, 200, {}, [](std::size_t i) { return i; }, report);
+  std::size_t sum = 0;
+  for (const auto r : results) sum += r;
+  EXPECT_EQ(sum, 200u * 199u / 2);
+  EXPECT_EQ(report.jobs, 8u);
+  EXPECT_EQ(report.tasks_run, 200u);
+}
+
+TEST(ThreadPool, MoveOnlyResultsWork) {
+  ExecReport report;
+  const auto results = run_indexed(
+      2, 3, {},
+      [](std::size_t i) { return std::make_unique<std::size_t>(i + 99); },
+      report);
+  ASSERT_EQ(results.size(), 3u);
+  for (std::size_t i = 0; i < results.size(); ++i)
+    EXPECT_EQ(*results[i], i + 99);
 }
 
 TEST(ParallelExecutor, AccumulateRebasesIndices) {
