@@ -24,8 +24,9 @@ void print_responses(const char* impl, const harness::InjectionOutcome& o) {
 int main() {
   // Paper topologies and defaults; triage mines at greater-LS-SN
   // granularity, whose cells map directly onto injection stimuli.
+  const harness::TriageConfig config;
   const auto result = harness::triage_ospf(
-      {ospf::frr_profile(), ospf::bird_profile()}, harness::TriageConfig{});
+      {ospf::frr_profile(), ospf::bird_profile()}, config);
 
   std::printf("mined %zu discrepancies at greater-LS-SN granularity\n\n",
               result.flagged);

@@ -21,11 +21,13 @@
 // zero frame loss).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "netsim/network.hpp"
@@ -52,6 +54,18 @@ struct BgpProfile {
   /// malformed AS_PATH) and a session reset (fragile, incident-like).
   std::size_t as_path_accept_limit = 0;
 };
+
+/// Calls `f(knob)` on every field of `p`, in declaration order; like
+/// ospf::visit_knobs, a field missing from the binding fails to compile.
+template <typename P, typename F>
+  requires std::same_as<std::remove_const_t<P>, BgpProfile>
+void visit_knobs(P& p, F&& f) {
+  auto& [name, keepalive_interval, hold_time, connect_retry, mrai,
+         as_path_accept_limit] = p;
+  [&](auto&... knob) { (f(knob), ...); }(name, keepalive_interval, hold_time,
+                                          connect_retry, mrai,
+                                          as_path_accept_limit);
+}
 
 BgpProfile bgp_robust_profile();
 BgpProfile bgp_fragile_profile();

@@ -12,12 +12,10 @@
 // changing any simulation-affecting knob changes the key, so stale results
 // can never be served for a new configuration.
 //
-// The coverage contract (mirroring the copy-through guard in
-// experiment.cpp): every field added to Scenario, MinerConfig or one of
-// the behaviour profiles must either be appended to the fingerprint in
-// key.cpp or documented there as key-irrelevant. Static size guards on all
-// hashed structs trip the build when one of them grows, so a new knob
-// cannot silently be left out of the hash and cause stale cache hits.
+// The coverage contract: scenario_key binds Scenario, MinerConfig and
+// topo::Spec field by field and hashes each profile through its
+// visit_knobs, so a field added to any of them fails to compile until it
+// is hashed there or named there as key-irrelevant (like keep_bytes).
 #pragma once
 
 #include <compare>
@@ -59,19 +57,5 @@ struct ScenarioKey {
 ScenarioKey scenario_key(const harness::Scenario& scenario,
                          const mining::MinerConfig& miner,
                          std::string_view scheme_id, PayloadKind kind);
-
-// Expected sizes of every hashed struct on the guard platform. key.cpp
-// static-asserts these against sizeof(...) so a newly added field breaks
-// the build until the fingerprint (and these constants) are updated; the
-// coverage test re-checks them at runtime so the contract is visible in
-// the test suite too.
-#if defined(__GLIBCXX__) && defined(__x86_64__)
-inline constexpr std::size_t kHashedScenarioSize = 400;
-inline constexpr std::size_t kHashedMinerConfigSize = 24;
-inline constexpr std::size_t kHashedOspfProfileSize = 136;
-inline constexpr std::size_t kHashedRipProfileSize = 88;
-inline constexpr std::size_t kHashedBgpProfileSize = 72;
-inline constexpr std::size_t kHashedTopoSpecSize = 16;
-#endif
 
 }  // namespace nidkit::cache

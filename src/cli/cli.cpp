@@ -69,7 +69,7 @@ std::optional<Args> parse_args(const std::vector<std::string>& tokens,
     }
     // Boolean switches: presence means "on", no value token follows.
     if (tok == "--no-cache" || tok == "--json") {
-      args.flags[tok.substr(2)] = "1";
+      args.flags[tok.substr(2)] = std::string(1, '1');
       i += 1;
       continue;
     }

@@ -7,18 +7,6 @@
 
 namespace nidkit::harness {
 
-// Copy-through guard for ExperimentConfig::scenario_for. If this trips you
-// added a field to ExperimentConfig: either copy it into the Scenario in
-// scenario_for (and extend Config.ScenarioForCopiesExperimentKnobs), or —
-// for executor-level knobs that do not describe a single scenario, like
-// `jobs`, `cache_dir` and `record` — document the exemption there. Then
-// update the expected size.
-#if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(ExperimentConfig) == 168,
-              "ExperimentConfig grew: thread the new knob through "
-              "scenario_for (or exempt it) and update this guard");
-#endif
-
 namespace {
 
 std::string job_label(const std::string& impl, const topo::Spec& spec,

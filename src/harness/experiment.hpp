@@ -65,12 +65,17 @@ struct ExperimentConfig {
     return m;
   }
 
-  // Copy-through contract: every *per-scenario* knob added to this struct
-  // must be threaded through here (executor-level knobs such as `jobs`
-  // are exempt). A size guard in experiment.cpp trips on growth so a new
-  // field cannot be forgotten silently; the copied set is pinned by
+  // Copy-through contract: every *per-scenario* knob of this struct is
+  // copied into the Scenario here. The binding names every field, so a new
+  // one fails to compile until it is copied or named as exempt: the
+  // callers walk `topologies` and `seeds`, the miner fields reach the key
+  // through miner_config(), and `jobs`, `cache_dir` and `record` are
+  // executor-level. The copied set is pinned by
   // Config.ScenarioForCopiesExperimentKnobs.
   Scenario scenario_for(const topo::Spec& spec, std::uint64_t seed) const {
+    const auto& [topologies, seeds, tdelay, link_jitter, link_loss, duration,
+                 miner_horizon, window_factor, churn_times, jobs, cache_dir,
+                 record] = *this;
     Scenario s;
     s.topology = spec;
     s.tdelay = tdelay;

@@ -35,9 +35,6 @@ bool injection_supports(const std::string& s) {
 
 namespace {
 
-/// Largest LS sequence number carried by an OSPF digest, or INT32_MIN.
-std::int32_t max_seq(const trace::OspfView& d) { return d.max_seq(); }
-
 /// inject_and_observe's probe, on the caller's fresh simulator and
 /// network.
 InjectionOutcome probe(const InjectionConfig& config, netsim::Simulator& sim,
@@ -162,7 +159,7 @@ InjectionOutcome probe(const InjectionConfig& config, netsim::Simulator& sim,
     outcome.responses.insert(label);
     if ((o->pkt_type == 4 || o->pkt_type == 5) && !o->lsas.empty() &&
         stimulus_seq != std::numeric_limits<std::int32_t>::min() &&
-        max_seq(*o) > stimulus_seq) {
+        o->max_seq() > stimulus_seq) {
       outcome.responses.insert(label + "+gtSN");
     }
   }

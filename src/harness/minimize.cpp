@@ -8,12 +8,6 @@ namespace nidkit::harness {
 
 namespace {
 
-bool valid_spec(topo::Kind kind, std::size_t routers) {
-  if (routers < 2) return false;
-  if (kind == topo::Kind::kRing && routers < 3) return false;
-  return true;
-}
-
 std::string ms_string(SimDuration d) {
   return std::to_string(d.count() / 1000) + "ms";
 }
@@ -54,10 +48,10 @@ std::vector<ShrinkCandidate> shrink_candidates(const Scenario& s) {
   const topo::Spec linear2{topo::Kind::kLinear, 2};
   if (!(s.topology.kind == topo::Kind::kLinear && s.topology.routers == 2))
     push(with_spec(linear2), "topology", topo_action(linear2));
-  if (s.topology.routers >= 3 &&
-      valid_spec(s.topology.kind, s.topology.routers - 1)) {
+  if (s.topology.routers >= 3) {
     const topo::Spec spec{s.topology.kind, s.topology.routers - 1};
-    push(with_spec(spec), "topology", topo_action(spec));
+    if (!topo::spec_error(spec))
+      push(with_spec(spec), "topology", topo_action(spec));
   }
   if (s.topology.kind != topo::Kind::kLinear) {
     const topo::Spec spec{topo::Kind::kLinear, s.topology.routers};

@@ -10,9 +10,11 @@
 // return knob settings modeled on the two daemons the paper evaluates.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "util/ip.hpp"
 #include "util/time.hpp"
@@ -88,6 +90,28 @@ struct BehaviorProfile {
   /// Minimum interval between originations of the same LSA (MinLSInterval).
   SimDuration min_ls_interval = 5s;
 };
+
+/// Calls `f(knob)` on every field of `p`, in declaration order. The
+/// binding names each field, so a field added above fails to compile until
+/// it is listed here. The result cache's key hashes this list and its test
+/// perturbs each entry.
+template <typename P, typename F>
+  requires std::same_as<std::remove_const_t<P>, BehaviorProfile>
+void visit_knobs(P& p, F&& f) {
+  auto& [name, immediate_hello_on_discovery, immediate_hello_on_two_way,
+         hello_jitter, delayed_ack_delay, ack_from_database,
+         direct_ack_duplicates, check_mtu, lsr_per_dbd, lsr_max_entries,
+         dbd_max_headers, lsu_max_lsas, flood_pacing,
+         respond_stale_with_newer, ack_stale_from_database, min_ls_arrival,
+         rxmt_interval, lsa_refresh_interval, min_ls_interval] = p;
+  [&](auto&... knob) { (f(knob), ...); }(
+      name, immediate_hello_on_discovery, immediate_hello_on_two_way,
+      hello_jitter, delayed_ack_delay, ack_from_database,
+      direct_ack_duplicates, check_mtu, lsr_per_dbd, lsr_max_entries,
+      dbd_max_headers, lsu_max_lsas, flood_pacing, respond_stale_with_newer,
+      ack_stale_from_database, min_ls_arrival, rxmt_interval,
+      lsa_refresh_interval, min_ls_interval);
+}
 
 /// Knob settings modeled on FRRouting's ospfd.
 BehaviorProfile frr_profile();

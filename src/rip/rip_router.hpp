@@ -9,9 +9,11 @@
 // relationship discrepancies.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "netsim/network.hpp"
@@ -55,6 +57,20 @@ struct RipProfile {
   /// mixed-version interop failure.
   bool accept_v1 = false;
 };
+
+/// Calls `f(knob)` on every field of `p`, in declaration order; like
+/// ospf::visit_knobs, a field missing from the binding fails to compile.
+template <typename P, typename F>
+  requires std::same_as<std::remove_const_t<P>, RipProfile>
+void visit_knobs(P& p, F&& f) {
+  auto& [name, update_interval, update_jitter, route_timeout, gc_interval,
+         poisoned_reverse, triggered_updates, triggered_delay,
+         request_on_start, respond_unicast, send_version, accept_v1] = p;
+  [&](auto&... knob) { (f(knob), ...); }(
+      name, update_interval, update_jitter, route_timeout, gc_interval,
+      poisoned_reverse, triggered_updates, triggered_delay, request_on_start,
+      respond_unicast, send_version, accept_v1);
+}
 
 /// Conservative, RFC-suggested-timers variant.
 RipProfile rip_classic_profile();

@@ -1,6 +1,8 @@
 #include "topo/topo.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace nidkit::topo {
 
@@ -56,8 +58,11 @@ Built build(netsim::Network& net, const Spec& spec) {
   out.segments.reserve(spec.kind == Kind::kMesh
                            ? spec.routers * (spec.routers - 1) / 2
                            : spec.routers);
-  for (std::size_t i = 0; i < spec.routers; ++i)
-    out.nodes.push_back(net.add_node("r" + std::to_string(i)));
+  for (std::size_t i = 0; i < spec.routers; ++i) {
+    std::string name = "r";
+    name += std::to_string(i);
+    out.nodes.push_back(net.add_node(std::move(name)));
+  }
   const auto& n = out.nodes;
 
   switch (spec.kind) {

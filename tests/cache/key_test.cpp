@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "harness/scenario.hpp"
@@ -27,10 +29,33 @@ TEST(Key, DeterministicAcrossCalls) {
   EXPECT_EQ(key_of(s).hex().size(), 32u);
 }
 
+// Existing caches keep hitting only while these keys hold. A change to the
+// derivation must fail here; adding a knob re-pins its protocol's keys on
+// purpose, because that re-keys (and so misses once) its cache entries.
+TEST(Key, PinnedKeysOfDefaultScenarios) {
+  harness::Scenario s;
+  EXPECT_EQ(key_of(s).hex(), "8f39227c2e385f611feed2627d79cbb0");
+  s.protocol = harness::Protocol::kRip;
+  EXPECT_EQ(key_of(s).hex(), "e3871b79f4dbfcf4bc8629111a1eba73");
+  s.protocol = harness::Protocol::kBgp;
+  EXPECT_EQ(key_of(s).hex(), "a19e469532af9489f7f00dca017644a0");
+
+  harness::Scenario frr;
+  frr.keep_bytes = false;
+  frr.ospf_profile = ospf::frr_profile();
+  EXPECT_EQ(key_of(frr, {}, "ospf-type").hex(),
+            "cc706b8c6e0314d0534c561b5e47ebef");
+  harness::Scenario bird = frr;
+  bird.ospf_profile = ospf::bird_profile();
+  EXPECT_EQ(key_of(bird, {}, "ospf-type").hex(),
+            "e21733a1e0e0357042a488ef37a0ce16");
+}
+
 // The coverage contract: every simulation-affecting knob must perturb the
-// key. Each mutation below flips exactly one field from a default scenario
-// of the protocol that reads it; all resulting keys (plus the three
-// defaults') must be distinct.
+// key. Each mutation below flips exactly one Scenario field outside the
+// profiles from a default scenario of the protocol that reads it; all
+// resulting keys (plus the three defaults') must be distinct. The profile
+// knobs are Key.EveryProfileKnobChangesOnlyItsProtocolsKey's.
 TEST(Key, EveryScenarioKnobChangesTheKey) {
   using Mut = std::function<void(harness::Scenario&)>;
   struct Case {
@@ -46,16 +71,6 @@ TEST(Key, EveryScenarioKnobChangesTheKey) {
        [](auto& s) { s.topology = topo::Spec{topo::Kind::kRing, 2}; }},
       {"topology.routers", kOspf,
        [](auto& s) { s.topology = topo::Spec{topo::Kind::kLinear, 3}; }},
-      {"ospf_profile.name", kOspf,
-       [](auto& s) { s.ospf_profile.name = "other"; }},
-      {"ospf_profile.duration-knob", kOspf,
-       [](auto& s) { s.ospf_profile.delayed_ack_delay = 2s; }},
-      {"ospf_profile.bool-knob", kOspf,
-       [](auto& s) { s.ospf_profile.ack_from_database = true; }},
-      {"ospf_profile.count-knob", kOspf,
-       [](auto& s) { s.ospf_profile.lsu_max_lsas = 17; }},
-      {"rip_profile", kRip, [](auto& s) { s.rip_profile.name = "other"; }},
-      {"bgp_profile", kBgp, [](auto& s) { s.bgp_profile.name = "other"; }},
       {"bgp_longpath_prepend", kBgp,
        [](auto& s) { s.bgp_longpath_prepend = 7; }},
       {"tdelay", kOspf, [](auto& s) { s.tdelay = 901ms; }},
@@ -97,6 +112,59 @@ TEST(Key, EveryScenarioKnobChangesTheKey) {
   }
 }
 
+/// Changes the `target`-th knob visit_knobs yields: flips a bool, adds
+/// 1 ms to a duration, appends to a string and adds 1 to a count.
+template <typename Profile>
+void perturb_knob(Profile& p, std::size_t target) {
+  std::size_t i = 0;
+  visit_knobs(p, [&](auto& knob) {
+    if (i++ != target) return;
+    using T = std::remove_reference_t<decltype(knob)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      knob = !knob;
+    } else if constexpr (std::is_same_v<T, SimDuration>) {
+      knob += 1ms;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      knob += '+';
+    } else {
+      ++knob;
+    }
+  });
+}
+
+// Every knob visit_knobs yields (so every profile field, with no list kept
+// here) must perturb the key of a scenario running its protocol, and must
+// leave the other protocols' keys alone: run_scenario reads only the
+// profile of the protocol it runs.
+TEST(Key, EveryProfileKnobChangesOnlyItsProtocolsKey) {
+  const auto check = [](harness::Protocol protocol, auto profile) {
+    harness::Scenario base;
+    base.protocol = protocol;
+    std::size_t knobs = 0;
+    visit_knobs(base.*profile, [&](const auto&) { ++knobs; });
+    std::set<ScenarioKey> keys = {key_of(base)};
+    for (std::size_t i = 0; i < knobs; ++i) {
+      harness::Scenario s = base;
+      perturb_knob(s.*profile, i);
+      keys.insert(key_of(s));
+      for (const auto other : {harness::Protocol::kOspf,
+                               harness::Protocol::kRip,
+                               harness::Protocol::kBgp}) {
+        if (other == protocol) continue;
+        harness::Scenario idle;
+        idle.protocol = other;
+        harness::Scenario perturbed = idle;
+        perturb_knob(perturbed.*profile, i);
+        EXPECT_EQ(key_of(perturbed), key_of(idle)) << "knob " << i;
+      }
+    }
+    EXPECT_EQ(keys.size(), 1 + knobs) << knobs << " knobs";
+  };
+  check(harness::Protocol::kOspf, &harness::Scenario::ospf_profile);
+  check(harness::Protocol::kRip, &harness::Scenario::rip_profile);
+  check(harness::Protocol::kBgp, &harness::Scenario::bgp_profile);
+}
+
 TEST(Key, MinerConfigChangesTheKey) {
   const harness::Scenario s;
   mining::MinerConfig tdelay, window, horizon;
@@ -127,21 +195,6 @@ TEST(Key, KeepBytesIrrelevant) {
   without_bytes.keep_bytes = false;
   EXPECT_EQ(key_of(with_bytes), key_of(without_bytes));
 }
-
-#if defined(__GLIBCXX__) && defined(__x86_64__)
-// Runtime mirror of the static size guards in key.cpp: if one of these
-// fails, a hashed struct grew and the fingerprint in key.cpp (plus the
-// kHashed* constants and, likely, this file's mutation list) must be
-// updated before the cache can be trusted again.
-TEST(Key, SizeGuardsMatchHashedStructs) {
-  EXPECT_EQ(sizeof(harness::Scenario), kHashedScenarioSize);
-  EXPECT_EQ(sizeof(mining::MinerConfig), kHashedMinerConfigSize);
-  EXPECT_EQ(sizeof(ospf::BehaviorProfile), kHashedOspfProfileSize);
-  EXPECT_EQ(sizeof(rip::RipProfile), kHashedRipProfileSize);
-  EXPECT_EQ(sizeof(bgp::BgpProfile), kHashedBgpProfileSize);
-  EXPECT_EQ(sizeof(topo::Spec), kHashedTopoSpecSize);
-}
-#endif
 
 }  // namespace
 }  // namespace nidkit::cache

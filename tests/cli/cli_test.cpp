@@ -199,7 +199,10 @@ TEST(Cli, EveryCommandRejectsBadFlags) {
   expect_usage_error({"audit", "--topos", "mesh-100000"}, "mesh-100000");
   expect_usage_error({"triage", "--topos", "lan-255"}, "lan-255");
   std::string churn = "0";
-  for (int i = 1; i < 257; ++i) churn += "," + std::to_string(i);
+  for (int i = 1; i < 257; ++i) {
+    churn += ',';
+    churn += std::to_string(i);
+  }
   expect_usage_error({"audit", "--churn-s", churn}, "--churn-s");
   // A repeated list entry would run, and count, its scenarios twice
   // (--seeds 1,1 once doubled every audit count). Spellings of one value
@@ -215,7 +218,10 @@ TEST(Cli, EveryCommandRejectsBadFlags) {
   expect_usage_error({"triage", "--impls", "frr,bird,frr"}, "'frr'");
   // Every seed's results stay in memory until the merge.
   std::string seeds = "1";
-  for (int i = 2; i <= 4'097; ++i) seeds += "," + std::to_string(i);
+  for (int i = 2; i <= 4'097; ++i) {
+    seeds += ',';
+    seeds += std::to_string(i);
+  }
   expect_usage_error({"audit", "--seeds", seeds}, "--seeds");
   // Removed telemetry flags are unknown flags now.
   expect_usage_error({"audit", "--stats", "inline"}, "--stats");

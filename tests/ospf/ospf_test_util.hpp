@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "netsim/chaos.hpp"
@@ -27,8 +28,11 @@ struct Rig {
 
   /// Adds `n` nodes named r0..r{n-1}.
   void add_nodes(std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i)
-      nodes.push_back(net.add_node("r" + std::to_string(i)));
+    for (std::size_t i = 0; i < n; ++i) {
+      std::string name = "r";
+      name += std::to_string(i);
+      nodes.push_back(net.add_node(std::move(name)));
+    }
   }
 
   /// Creates routers with ids 1.1.1.1, 2.2.2.2, ... sharing `profile`.

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "netsim/chaos.hpp"
 #include "rip/rip_router.hpp"
@@ -24,8 +25,11 @@ struct Rig {
   std::vector<std::unique_ptr<RipRouter>> routers;
 
   void add(std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i)
-      nodes.push_back(net.add_node("r" + std::to_string(i)));
+    for (std::size_t i = 0; i < n; ++i) {
+      std::string name = "r";
+      name += std::to_string(i);
+      nodes.push_back(net.add_node(std::move(name)));
+    }
   }
   void link(std::size_t a, std::size_t b) {
     const auto seg = net.add_p2p(nodes[a], nodes[b]);

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "netsim/chaos.hpp"
 #include "rip/rip_router.hpp"
@@ -25,8 +26,11 @@ struct RipRig {
 
   void init_line(std::size_t n, const RipProfile& profile,
                  SimDuration delay = 20ms) {
-    for (std::size_t i = 0; i < n; ++i)
-      nodes.push_back(net.add_node("r" + std::to_string(i)));
+    for (std::size_t i = 0; i < n; ++i) {
+      std::string name = "r";
+      name += std::to_string(i);
+      nodes.push_back(net.add_node(std::move(name)));
+    }
     for (std::size_t i = 0; i + 1 < n; ++i) {
       const auto seg = net.add_p2p(nodes[i], nodes[i + 1]);
       net.fault(seg).delay = delay;
