@@ -69,6 +69,8 @@ std::optional<Args> parse_args(const std::vector<std::string>& tokens,
     }
     // Boolean switches: presence means "on", no value token follows.
     if (tok == "--no-cache" || tok == "--json") {
+      // Not `= "1"`: GCC 12 -O3 misreads that as an overlapping copy
+      // (-Wrestrict).
       args.flags[tok.substr(2)] = std::string(1, '1');
       i += 1;
       continue;
