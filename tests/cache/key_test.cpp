@@ -101,8 +101,8 @@ TEST(Key, EveryScenarioKnobChangesTheKey) {
       EXPECT_NE(keys[i].second, keys[j].second)
           << keys[i].first << " vs " << keys[j].first;
 
-  // run_scenario reads only the profile of the protocol it runs, so the
-  // other protocols' profiles leave the key alone.
+  // A knob only another protocol reads (bgp_longpath_prepend) leaves the
+  // OSPF key alone.
   const harness::Scenario ospf;
   for (const auto& [name, protocol, mutate] : mutations) {
     if (protocol == kOspf) continue;
