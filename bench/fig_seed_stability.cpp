@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       ospf::frr_profile(), config, mining::ospf_greater_lssn_scheme(), 1.0);
   const auto bird = harness::stable_relations(
       ospf::bird_profile(), config, mining::ospf_greater_lssn_scheme(), 1.0);
-  const auto flags = detect::compare({"frr", &frr}, {"bird", &bird});
+  const auto flags = detect::compare_all({{"frr", &frr}, {"bird", &bird}});
   std::printf("fully-stable greater-LS-SN discrepancies: %zu\n",
               flags.size());
   bool headline = false;

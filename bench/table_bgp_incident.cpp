@@ -59,7 +59,7 @@ int main() {
             << detect::render_matrix(named, labels, labels,
                                      mining::RelationDirection::kSendToRecv);
 
-  const auto flags = detect::compare(named[0], named[1]);
+  const auto flags = detect::compare_all(named);
   std::cout << "\n=== Flagged candidate non-interoperabilities ===\n"
             << detect::render_discrepancies(flags);
 

@@ -87,8 +87,8 @@ int main() {
     sets.emplace(profile.name, miner.mine(run.log, scheme));
   }
   const auto flags =
-      detect::compare({"bgp-robust", &sets.at("bgp-robust")},
-                      {"bgp-fragile", &sets.at("bgp-fragile")});
+      detect::compare_all({{"bgp-robust", &sets.at("bgp-robust")},
+                           {"bgp-fragile", &sets.at("bgp-fragile")}});
   std::fputs(detect::render_discrepancies(flags).c_str(), stdout);
   std::printf("\nthe flag to act on: UPDATE+longpath -> NOTIFICATION, "
               "present only in bgp-fragile.\n");

@@ -249,6 +249,8 @@ std::string resolve_cache_dir(const Args& args) {
 /// Upper bounds of the time flags. Every accepted value converts to
 /// microseconds without overflow, and a run at the bound still finishes.
 constexpr long long kMaxTdelayMs = 60'000;
+/// The finest sweep step, which bounds a sweep at 1,201 TDelay points.
+constexpr long long kMinStepMs = 50;
 constexpr long long kMaxDurationS = 3'600;
 /// Each churn event originates its own /24 from one octet of the address
 /// plan, so the 257th would repeat the first.
@@ -560,8 +562,7 @@ int cmd_sweep(const Args& args, obs::RunRecord* record, std::ostream& out,
   config.cache_dir = resolve_cache_dir(args);
   config.record = record;
   const long long max_ms = args.get_int("max-ms").value_or(1500);
-  const long long step_ms = std::max<long long>(
-      50, args.get_int("step-ms").value_or(150));
+  const long long step_ms = args.get_int("step-ms").value_or(150);
   std::vector<SimDuration> tds;
   for (long long ms = 0; ms <= max_ms; ms += step_ms)
     tds.push_back(SimDuration{ms * 1000});
@@ -845,7 +846,7 @@ constexpr struct {
     {"pcap", kTrace},
     {"in", kMine},
     {"max-ms", kSweep, 0, kMaxTdelayMs},
-    {"step-ms", kSweep, 0, kMaxTdelayMs},
+    {"step-ms", kSweep, kMinStepMs, kMaxTdelayMs},
     {"target", kInject},
     {"stimulus", kInject},
     {"max-probes", kTriage, 1, 1'000'000},

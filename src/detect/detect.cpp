@@ -7,23 +7,6 @@ std::string to_string(mining::RelationDirection dir) {
                                                        : "recv->send";
 }
 
-std::vector<Discrepancy> compare(const NamedRelations& a,
-                                 const NamedRelations& b) {
-  std::vector<Discrepancy> out;
-  for (const auto dir : {mining::RelationDirection::kSendToRecv,
-                         mining::RelationDirection::kRecvToSend}) {
-    for (const auto& [cell, stats] : a.relations->cells(dir)) {
-      if (b.relations->find(dir, cell) == nullptr)
-        out.push_back(Discrepancy{dir, cell, a.name, b.name, stats});
-    }
-    for (const auto& [cell, stats] : b.relations->cells(dir)) {
-      if (a.relations->find(dir, cell) == nullptr)
-        out.push_back(Discrepancy{dir, cell, b.name, a.name, stats});
-    }
-  }
-  return out;
-}
-
 std::vector<Discrepancy> compare_all(
     const std::vector<NamedRelations>& impls) {
   std::vector<Discrepancy> out;

@@ -34,13 +34,10 @@ struct NamedRelations {
   const mining::RelationSet* relations = nullptr;
 };
 
-/// Pairwise comparison: every cell present in exactly one of the two sets
-/// becomes a Discrepancy. Deterministic order (direction, then cell).
-std::vector<Discrepancy> compare(const NamedRelations& a,
-                                 const NamedRelations& b);
-
 /// N-way comparison: a cell is flagged once per implementation that lacks
-/// it while at least one other has it.
+/// it while at least one other has it. Deterministic order (direction,
+/// haver, cell, lacker): for two sets, every cell present in only one of
+/// them, the first set's before the second's.
 std::vector<Discrepancy> compare_all(
     const std::vector<NamedRelations>& impls);
 

@@ -68,11 +68,8 @@ std::vector<cache::Entry> run_cached(
     delta.cache_misses = to_run.size();
   }
 
-  std::vector<std::string> labels;
-  labels.reserve(to_run.size());
-  for (const auto i : to_run) labels.push_back(jobs[i].label);
   auto computed = run_indexed(
-      workers, to_run.size(), labels,
+      workers, to_run.size(),
       [&](std::size_t k) { return compute(jobs[to_run[k]]); }, delta);
   for (std::size_t k = 0; k < to_run.size(); ++k) {
     const std::size_t i = to_run[k];

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "mining/keying.hpp"
-#include "netsim/chaos.hpp"
 #include "packet/ospf_packet.hpp"
 
 namespace nidkit::harness {
@@ -47,12 +46,11 @@ InjectionOutcome probe(const InjectionConfig& config, netsim::Simulator& sim,
 
   const netsim::NodeId prober_node = net.add_node("prober");
   const netsim::NodeId target_node = net.add_node("target");
-  net.add_p2p(prober_node, target_node);
+  const netsim::SegmentId link = net.add_p2p(prober_node, target_node);
+  net.fault(link).delay = config.tdelay;
 
   trace::TraceLog log;
   log.attach(net);
-  netsim::ChaosController chaos(net);
-  chaos.set_delay_all(config.tdelay);
 
   // The prober runs a strict-RFC engine so that the adjacency it offers the
   // target is uncontroversial.

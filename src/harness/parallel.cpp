@@ -6,8 +6,6 @@
 #include <sstream>
 #include <thread>
 
-#include "detect/json.hpp"
-
 namespace nidkit::harness {
 
 std::size_t worker_count(std::size_t jobs) {
@@ -27,9 +25,6 @@ void ExecReport::accumulate(const ExecReport& other) {
   cache_pack_hits += other.cache_pack_hits;
   cache_misses += other.cache_misses;
   cache_dedup += other.cache_dedup;
-  const std::size_t base = tasks.size();
-  tasks.insert(tasks.end(), other.tasks.begin(), other.tasks.end());
-  for (std::size_t i = base; i < tasks.size(); ++i) tasks[i].index = i;
 }
 
 std::string ExecReport::to_json() const {
@@ -41,14 +36,7 @@ std::string ExecReport::to_json() const {
        << cache_pack_hits << ",\"misses\":" << cache_misses
        << ",\"in_flight_dedup\":" << cache_dedup << "}";
   }
-  os << ",\"scenarios\":[";
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (i) os << ",";
-    os << "{\"index\":" << tasks[i].index << ",\"label\":\""
-       << detect::json_escape(tasks[i].label) << "\",\"wall_ms\":"
-       << tasks[i].wall_ms << "}";
-  }
-  os << "]}";
+  os << "}";
   return os.str();
 }
 

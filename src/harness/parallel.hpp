@@ -29,13 +29,6 @@
 
 namespace nidkit::harness {
 
-/// Wall-clock record for one fanned-out scenario.
-struct TaskTiming {
-  std::size_t index = 0;  ///< canonical scenario index
-  std::string label;      ///< e.g. "frr/mesh-5/s2"
-  double wall_ms = 0.0;   ///< real time the worker spent on the scenario
-};
-
 /// Execution telemetry for a fan-out (or several, via accumulate()).
 /// Everything here is observability data: it never feeds back into mined
 /// relations, so emitting it cannot perturb determinism.
@@ -43,7 +36,6 @@ struct ExecReport {
   std::size_t jobs = 1;              ///< worker count used
   std::uint64_t tasks_run = 0;       ///< scenarios executed
   double wall_ms = 0.0;              ///< wall time of the fan-out(s)
-  std::vector<TaskTiming> tasks;     ///< canonical index order
 
   // Result-cache telemetry. cache_enabled flips when a fan-out actually
   // ran against a store; without it the counters are meaningless zeros and
@@ -58,16 +50,16 @@ struct ExecReport {
   /// fan-out: computed (or fetched) once, fanned in to every duplicate.
   std::uint64_t cache_dedup = 0;
 
-  /// Folds another fan-out's telemetry into this one (tasks append with
-  /// re-based indices; wall times add; jobs takes the max).
+  /// Folds another fan-out's telemetry into this one (counts and wall
+  /// times add; jobs takes the max).
   void accumulate(const ExecReport& other);
 
   /// {"jobs":N,"tasks_run":...,"wall_ms":...,
   ///  "cache":{"hits":...,"pack_hits":...,"misses":...,
-  ///           "in_flight_dedup":...},
-  ///  "scenarios":[{"index":i,"label":"...","wall_ms":...},...]}
+  ///           "in_flight_dedup":...}}
   /// The cache object appears only when cache_enabled. This is the
-  /// --stats-out file; what the run simulated is in the obs::RunRecord.
+  /// --stats-out file; what the run simulated is in the obs::RunRecord,
+  /// and each scenario's wall time is its `scenario` span in --trace-out.
   std::string to_json() const;
 };
 
@@ -82,36 +74,28 @@ std::size_t worker_count(std::size_t jobs);
 /// or a one-task batch) is a plain loop on the calling thread — the
 /// reference path every other width must match bit-for-bit. Every index
 /// runs even when some throw; once all workers stop, the exception of the
-/// lowest failing index propagates. Per-task wall times, labelled
-/// labels[i] (labels may be empty), append to `report`.
+/// lowest failing index propagates. The worker count, task count and
+/// fan-out wall time add to `report`.
 template <typename Fn>
-auto run_indexed(std::size_t jobs, std::size_t count,
-                 const std::vector<std::string>& labels, Fn&& fn,
+auto run_indexed(std::size_t jobs, std::size_t count, Fn&& fn,
                  ExecReport& report)
     -> std::vector<decltype(fn(std::size_t{0}))> {
   using Clock = std::chrono::steady_clock;
-  const auto ms_since = [](Clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start)
-        .count();
-  };
   const std::size_t workers = worker_count(jobs);
   const auto fanout_start = Clock::now();
 
   std::vector<decltype(fn(std::size_t{0}))> results(count);
-  std::vector<double> wall_ms(count);
   std::vector<std::exception_ptr> errors(count);
   std::atomic<std::size_t> next{0};
   const auto work = [&] {
     for (;;) {
       const std::size_t i = next++;
       if (i >= count) return;
-      const auto start = Clock::now();
       try {
         results[i] = fn(i);
       } catch (...) {
         errors[i] = std::current_exception();
       }
-      wall_ms[i] = ms_since(start);
     }
   };
   {
@@ -125,11 +109,9 @@ auto run_indexed(std::size_t jobs, std::size_t count,
 
   report.jobs = std::max(report.jobs, workers);
   report.tasks_run += count;
-  report.wall_ms += ms_since(fanout_start);
-  const std::size_t base = report.tasks.size();
-  for (std::size_t i = 0; i < count; ++i)
-    report.tasks.push_back(
-        TaskTiming{base + i, i < labels.size() ? labels[i] : "", wall_ms[i]});
+  report.wall_ms += std::chrono::duration<double, std::milli>(
+                        Clock::now() - fanout_start)
+                        .count();
   return results;
 }
 

@@ -50,12 +50,13 @@ ScenarioResult run_scenario(const Scenario& scenario, Workspace& ws) {
   log.set_keep_bytes(scenario.keep_bytes);
   log.attach(net);
 
-  netsim::ChaosController chaos(net);
-  chaos.set_delay_all(scenario.tdelay);
+  // Every segment gets the paper's TDelay (Pumba's netem delay) and the
+  // scenario's jitter and loss.
   for (netsim::SegmentId s = 0; s < net.segment_count(); ++s) {
-    if (scenario.link_jitter.count() > 0)
-      net.fault(s).jitter = scenario.link_jitter;
-    if (scenario.link_loss > 0) net.fault(s).loss = scenario.link_loss;
+    netsim::FaultModel& fault = net.fault(s);
+    fault.delay = scenario.tdelay;
+    if (scenario.link_jitter.count() > 0) fault.jitter = scenario.link_jitter;
+    if (scenario.link_loss > 0) fault.loss = scenario.link_loss;
   }
 
   ScenarioResult result;

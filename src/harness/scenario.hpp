@@ -2,7 +2,7 @@
 //
 // This is the equivalent of the paper's "small-scale network running a
 // single implementation inside Docker, delayed with Pumba, captured with
-// tcpdump": it wires up the simulator, topology, chaos delay, routers and
+// tcpdump": it wires up the simulator, topology, link delay, routers and
 // trace log, runs for a configured duration, and hands back the trace plus
 // convergence/health statistics.
 #pragma once
@@ -13,7 +13,6 @@
 
 #include "bgp/bgp_router.hpp"
 #include "cov/cov.hpp"
-#include "netsim/chaos.hpp"
 #include "obs/obs.hpp"
 #include "netsim/network.hpp"
 #include "netsim/simulator.hpp"

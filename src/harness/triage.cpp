@@ -172,7 +172,7 @@ TriageResult triage_ospf(const std::vector<ospf::BehaviorProfile>& profiles,
     const auto key = std::make_pair(impl, stimulus);
     auto it = probed.find(key);
     if (it != probed.end()) return it->second;
-    InjectionConfig inj = config.injection;
+    InjectionConfig inj;
     inj.stimulus = stimulus;
     inj.target_profile = by_name.at(impl);
     auto outcome = inject_and_observe(inj);

@@ -49,8 +49,6 @@ struct TriageConfig {
   /// Triage at most this many flagged discrepancies (0 = all), in
   /// canonical flag order.
   std::size_t max_incidents = 0;
-  /// Base configuration for the injection confirmation probes.
-  InjectionConfig injection;
 };
 
 /// Injection verdict for a triaged incident.

@@ -23,21 +23,30 @@ std::string state_label(int state) {
   return ospf::to_string(static_cast<ospf::NeighborState>(state));
 }
 
-KeyScheme ospf_type_scheme() {
+namespace {
+
+/// A scheme whose stimulus and response are each labelled by `label` of
+/// the record alone.
+template <typename Label>
+KeyScheme per_record(std::string name, Label label) {
   KeyScheme s;
-  s.name = "ospf-type";
-  s.stimulus = [](const trace::RecordView& r) -> std::optional<std::string> {
-    const auto* o = r.ospf;
-    if (o == nullptr) return std::nullopt;
-    return ospf_type_label(o->pkt_type);
-  };
-  s.response = [](const trace::RecordView&, const trace::RecordView& resp)
-      -> std::optional<std::string> {
-    const auto* o = resp.ospf;
-    if (o == nullptr) return std::nullopt;
-    return ospf_type_label(o->pkt_type);
-  };
+  s.name = std::move(name);
+  s.stimulus = label;
+  s.response = [label](const trace::RecordView&,
+                       const trace::RecordView& resp) { return label(resp); };
   return s;
+}
+
+}  // namespace
+
+KeyScheme ospf_type_scheme() {
+  return per_record(
+      "ospf-type",
+      [](const trace::RecordView& r) -> std::optional<std::string> {
+        const auto* o = r.ospf;
+        if (o == nullptr) return std::nullopt;
+        return ospf_type_label(o->pkt_type);
+      });
 }
 
 KeyScheme ospf_greater_lssn_scheme() {
@@ -77,21 +86,14 @@ KeyScheme ospf_greater_lssn_scheme() {
 }
 
 KeyScheme ospf_state_scheme() {
-  KeyScheme s;
-  s.name = "ospf-state";
-  s.stimulus = [](const trace::RecordView& r) -> std::optional<std::string> {
-    const auto* o = r.ospf;
-    if (o == nullptr) return std::nullopt;
-    return ospf_type_label(o->pkt_type) + "@" + state_label(r.observer_state);
-  };
-  s.response = [](const trace::RecordView&, const trace::RecordView& resp)
-      -> std::optional<std::string> {
-    const auto* o = resp.ospf;
-    if (o == nullptr) return std::nullopt;
-    return ospf_type_label(o->pkt_type) + "@" +
-           state_label(resp.observer_state);
-  };
-  return s;
+  return per_record(
+      "ospf-state",
+      [](const trace::RecordView& r) -> std::optional<std::string> {
+        const auto* o = r.ospf;
+        if (o == nullptr) return std::nullopt;
+        return ospf_type_label(o->pkt_type) + "@" +
+               state_label(r.observer_state);
+      });
 }
 
 KeyScheme ospf_lsa_type_scheme() {
@@ -117,14 +119,7 @@ KeyScheme ospf_lsa_type_scheme() {
     }
     return out;
   };
-  KeyScheme s;
-  s.name = "ospf-lsa-type";
-  s.stimulus = label;
-  s.response = [label](const trace::RecordView&,
-                       const trace::RecordView& resp) {
-    return label(resp);
-  };
-  return s;
+  return per_record("ospf-lsa-type", label);
 }
 
 KeyScheme rip_refined_scheme() {
@@ -136,14 +131,7 @@ KeyScheme rip_refined_scheme() {
     if (p->max_metric >= 16) return std::string("Response(poison)");
     return std::string("Response");
   };
-  KeyScheme s;
-  s.name = "rip-refined";
-  s.stimulus = label;
-  s.response = [label](const trace::RecordView&,
-                       const trace::RecordView& resp) {
-    return label(resp);
-  };
-  return s;
+  return per_record("rip-refined", label);
 }
 
 KeyScheme ospf_dbd_flags_scheme() {
@@ -164,14 +152,7 @@ KeyScheme ospf_dbd_flags_scheme() {
     out += ")";
     return out;
   };
-  KeyScheme s;
-  s.name = "ospf-dbd-flags";
-  s.stimulus = label;
-  s.response = [label](const trace::RecordView&,
-                       const trace::RecordView& resp) {
-    return label(resp);
-  };
-  return s;
+  return per_record("ospf-dbd-flags", label);
 }
 
 KeyScheme bgp_message_scheme(std::size_t longpath_threshold) {
@@ -192,14 +173,7 @@ KeyScheme bgp_message_scheme(std::size_t longpath_threshold) {
     }
     return std::nullopt;
   };
-  KeyScheme s;
-  s.name = "bgp-message";
-  s.stimulus = label;
-  s.response = [label](const trace::RecordView&,
-                       const trace::RecordView& resp) {
-    return label(resp);
-  };
-  return s;
+  return per_record("bgp-message", label);
 }
 
 KeyScheme rip_command_scheme() {
@@ -210,14 +184,7 @@ KeyScheme rip_command_scheme() {
       return std::string(p->full_table_request ? "Request(full)" : "Request");
     return std::string("Response");
   };
-  KeyScheme s;
-  s.name = "rip-command";
-  s.stimulus = label;
-  s.response = [label](const trace::RecordView&,
-                       const trace::RecordView& resp) {
-    return label(resp);
-  };
-  return s;
+  return per_record("rip-command", label);
 }
 
 }  // namespace nidkit::mining

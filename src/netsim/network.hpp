@@ -54,8 +54,8 @@ struct Frame {
   std::uint64_t caused_by = 0;
 };
 
-/// Mutable per-segment fault model, the netem/Pumba equivalent.
-/// ChaosController rewrites these fields at runtime.
+/// Mutable per-segment fault model, the netem/Pumba equivalent. Writes
+/// through Network::fault take effect on the next frame sent.
 struct FaultModel {
   SimDuration delay{0};          ///< fixed one-way delay (the paper's TDelay)
   SimDuration jitter{0};         ///< uniform extra delay in [0, jitter]
@@ -129,7 +129,8 @@ class Network {
   /// every other attachment on the segment.
   void send(NodeId node, IfaceIndex iface, Frame frame);
 
-  /// The mutable fault model of a segment (the chaos controller's handle).
+  /// The mutable fault model of a segment: the harness writes the TDelay
+  /// here, and tests cut links or change delays mid-run through it.
   FaultModel& fault(SegmentId segment);
   const FaultModel& fault(SegmentId segment) const;
 

@@ -15,9 +15,7 @@ std::string LsaHeader::to_string() const {
   return os.str();
 }
 
-namespace {
-
-void encode_header(const LsaHeader& h, ByteWriter& w) {
+void encode_lsa_header(const LsaHeader& h, ByteWriter& w) {
   w.u16(h.age);
   w.u8(h.options);
   w.u8(static_cast<std::uint8_t>(h.type));
@@ -28,7 +26,7 @@ void encode_header(const LsaHeader& h, ByteWriter& w) {
   w.u16(h.length);
 }
 
-Result<LsaHeader> decode_header(ByteReader& r) {
+Result<LsaHeader> decode_lsa_header(ByteReader& r) {
   LsaHeader h;
   h.age = r.u16();
   h.options = r.u8();
@@ -41,10 +39,10 @@ Result<LsaHeader> decode_header(ByteReader& r) {
   if (!r.ok()) return fail("truncated LSA header");
   if (type < 1 || type > 5) return fail("unknown LSA type " + std::to_string(type));
   h.type = static_cast<LsaType>(type);
-  if (h.length < kLsaHeaderSize)
-    return fail("LSA length shorter than header");
   return h;
 }
+
+namespace {
 
 void encode_body(const LsaBody& body, ByteWriter& w) {
   std::visit(
@@ -156,7 +154,7 @@ void Lsa::finalize() {
   ByteWriter& full = scratch_writer();
   LsaHeader tmp = header;
   tmp.checksum = 0;
-  encode_header(tmp, full);
+  encode_lsa_header(tmp, full);
   encode_body(body, full);
   header.length = static_cast<std::uint16_t>(full.size());
   full.patch_u16(18, header.length);
@@ -164,7 +162,7 @@ void Lsa::finalize() {
 }
 
 void Lsa::encode(ByteWriter& w) const {
-  encode_header(header, w);
+  encode_lsa_header(header, w);
   encode_body(body, w);
 }
 
@@ -175,8 +173,10 @@ bool Lsa::checksum_ok() const {
 }
 
 Result<Lsa> Lsa::decode(ByteReader& r) {
-  auto h = decode_header(r);
+  auto h = decode_lsa_header(r);
   if (!h.ok()) return fail(h.error());
+  if (h.value().length < kLsaHeaderSize)
+    return fail("LSA length shorter than header");
   Lsa lsa;
   lsa.header = h.value();
   const std::size_t body_len = lsa.header.length - kLsaHeaderSize;

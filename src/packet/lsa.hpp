@@ -43,6 +43,12 @@ struct LsaHeader {
   friend bool operator==(const LsaHeader&, const LsaHeader&) = default;
 };
 
+/// The header codec, shared by whole LSAs and by the header lists of DBD
+/// and LSAck packets. decode_lsa_header checks the type but not the length
+/// field, which a listed header only quotes; Lsa::decode checks it too.
+void encode_lsa_header(const LsaHeader& h, ByteWriter& w);
+Result<LsaHeader> decode_lsa_header(ByteReader& r);
+
 /// Router-LSA link descriptions (§A.4.2).
 enum class RouterLinkType : std::uint8_t {
   kPointToPoint = 1,  ///< link_id = neighbor router id

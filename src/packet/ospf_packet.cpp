@@ -48,34 +48,6 @@ PacketType type_of(const PacketBody& body) {
       body);
 }
 
-void encode_lsa_header(const LsaHeader& h, ByteWriter& w) {
-  w.u16(h.age);
-  w.u8(h.options);
-  w.u8(static_cast<std::uint8_t>(h.type));
-  w.u32(h.link_state_id.value());
-  w.u32(h.advertising_router.value());
-  w.i32(h.seq);
-  w.u16(h.checksum);
-  w.u16(h.length);
-}
-
-Result<LsaHeader> decode_lsa_header(ByteReader& r) {
-  LsaHeader h;
-  h.age = r.u16();
-  h.options = r.u8();
-  const std::uint8_t type = r.u8();
-  h.link_state_id = Ipv4Addr{r.u32()};
-  h.advertising_router = Ipv4Addr{r.u32()};
-  h.seq = r.i32();
-  h.checksum = r.u16();
-  h.length = r.u16();
-  if (!r.ok()) return fail("truncated LSA header");
-  if (type < 1 || type > 5)
-    return fail("unknown LSA type " + std::to_string(type));
-  h.type = static_cast<LsaType>(type);
-  return h;
-}
-
 void encode_body(const PacketBody& body, ByteWriter& w) {
   std::visit(
       [&w](const auto& b) {

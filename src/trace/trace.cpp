@@ -458,17 +458,27 @@ Result<TraceLog> TraceLog::load(std::istream& is) {
           protocol >> r.frame_id >> r.caused_by >> r.observer_state >> hex)) {
       return fail("truncated trace at record " + std::to_string(i));
     }
-    if (dir != 'S' && dir != 'R')
-      return fail("bad direction at record " + std::to_string(i));
+    const auto bad = [i](const std::string& what) {
+      return fail(what + " at record " + std::to_string(i));
+    };
+    if (dir != 'S' && dir != 'R') return bad("bad direction");
+    // append()'s order: the miner's windows and the per-node index both
+    // assume it, and a reordered trace would mine to nothing.
     r.time = SimTime{time_us};
+    if (i > 0 && r.time < log.time_[i - 1])
+      return bad("time earlier than the previous record's");
+    // The per-node index holds one entry per id up to the largest.
+    if (r.node >= kMaxNodes)
+      return bad("node id " + std::to_string(r.node) + " out of range");
+    if (protocol < 0 || protocol > 255)
+      return bad("protocol " + std::to_string(protocol) + " out of range");
     r.direction = dir == 'S' ? netsim::Direction::kSend
                              : netsim::Direction::kRecv;
     r.src = Ipv4Addr{src};
     r.dst = Ipv4Addr{dst};
     r.protocol = static_cast<std::uint8_t>(protocol);
     if (hex != "-") {
-      if (hex.size() % 2 != 0)
-        return fail("ragged hex at record " + std::to_string(i));
+      if (hex.size() % 2 != 0) return bad("ragged hex");
       auto nibble = [](char c) -> int {
         if (c >= '0' && c <= '9') return c - '0';
         if (c >= 'a' && c <= 'f') return c - 'a' + 10;
@@ -479,8 +489,7 @@ Result<TraceLog> TraceLog::load(std::istream& is) {
       for (std::size_t k = 0; k < hex.size(); k += 2) {
         const int hi = nibble(hex[k]);
         const int lo = nibble(hex[k + 1]);
-        if (hi < 0 || lo < 0)
-          return fail("bad hex at record " + std::to_string(i));
+        if (hi < 0 || lo < 0) return bad("bad hex");
         bytes.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
       }
       r.bytes = util::SharedBytes(bytes);
@@ -488,9 +497,8 @@ Result<TraceLog> TraceLog::load(std::istream& is) {
     log.push_common(r.time, r.node, r.iface, r.direction, r.src, r.dst,
                     r.protocol, r.frame_id, r.caused_by, r.observer_state,
                     r.bytes.retain());
-    // The one input check: a trace file may hold frames the tap's parsers
-    // accept but the full decoders reject (see fast_ospf_digest); those
-    // get no digest.
+    // A trace file may hold frames the tap's parsers accept but the full
+    // decoders reject (see fast_ospf_digest); those get no digest.
     const bool decodes =
         r.protocol == ospf::kIpProtoOspf ? ospf::decode(r.bytes).ok()
         : r.protocol == 17               ? rip::decode(r.bytes).ok()

@@ -215,8 +215,14 @@ class TraceLog {
 
   /// Parses a trace produced by save(). Records are re-digested through
   /// the tap's own digest path; bytes that ospf::decode or rip::decode
-  /// rejects get no digest, so a hand-edited trace is re-validated.
+  /// rejects get no digest, so a hand-edited trace is re-validated. A
+  /// record earlier than the one before it, with a node id of kMaxNodes or
+  /// more, or with a protocol number above 255 fails the whole load.
   static Result<TraceLog> load(std::istream& is);
+
+  /// load()'s bound on node ids, far above any simulated network's node
+  /// count.
+  static constexpr netsim::NodeId kMaxNodes = 65'536;
 
   /// Forgets every record and rewinds the arena; the log is immediately
   /// reusable and refills into the pages it already owns.

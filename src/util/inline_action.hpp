@@ -4,10 +4,10 @@
 // them as std::function costs a heap allocation each time the capture list
 // outgrows libstdc++'s 16-byte inline buffer (a delivery closure carries a
 // whole Frame, so it always does). InlineAction widens the inline buffer to
-// fit every closure the hot path creates — timer re-arms, frame deliveries,
-// chaos windows — so steady-state scheduling never touches the heap.
-// Oversized or throwing-move callables still work; they transparently fall
-// back to a heap cell (cold paths only: nothing in src/ needs it today).
+// fit every closure the library schedules — timer re-arms, frame
+// deliveries — so scheduling never touches the heap. A closure that does
+// not fit (too big, over-aligned, or with a move that may throw) fails to
+// compile rather than silently allocating.
 #pragma once
 
 #include <cstddef>
@@ -19,10 +19,9 @@ namespace nidkit::util {
 
 class InlineAction {
  public:
-  /// Inline capacity. Sized for the largest hot-path closure: a frame
-  /// delivery captures {Network*, SegmentId, NodeId, IfaceIndex, Frame}
-  /// (~64 bytes with a refcounted payload); a chaos window captures a
-  /// whole FaultModel (~68 bytes).
+  /// Inline capacity. Sized for the largest closure the library
+  /// schedules: a frame delivery captures {Network*, SegmentId, NodeId,
+  /// IfaceIndex, Frame} (~64 bytes with a refcounted payload).
   static constexpr std::size_t kInlineSize = 72;
 
   InlineAction() noexcept = default;
@@ -32,13 +31,14 @@ class InlineAction {
             typename = std::enable_if_t<!std::is_same_v<D, InlineAction> &&
                                         std::is_invocable_r_v<void, D&>>>
   InlineAction(F&& f) {  // NOLINT: implicit, mirrors std::function
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
-      ops_ = &kHeapOps<D>;
-    }
+    static_assert(sizeof(D) <= kInlineSize,
+                  "closure larger than InlineAction::kInlineSize");
+    static_assert(alignof(D) <= alignof(std::max_align_t),
+                  "closure over-aligned for InlineAction");
+    static_assert(std::is_nothrow_move_constructible_v<D>,
+                  "closure move may throw; InlineAction relocates noexcept");
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+    ops_ = &kOps<D>;
   }
 
   InlineAction(InlineAction&& other) noexcept : ops_(other.ops_) {
@@ -78,14 +78,7 @@ class InlineAction {
   };
 
   template <typename D>
-  static constexpr bool fits_inline() {
-    return sizeof(D) <= kInlineSize &&
-           alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
-
-  template <typename D>
-  static constexpr Ops kInlineOps = {
+  static constexpr Ops kOps = {
       [](void* p) { (*static_cast<D*>(p))(); },
       [](void* dst, void* src) noexcept {
         D* s = static_cast<D*>(src);
@@ -93,15 +86,6 @@ class InlineAction {
         s->~D();
       },
       [](void* p) noexcept { static_cast<D*>(p)->~D(); },
-  };
-
-  template <typename D>
-  static constexpr Ops kHeapOps = {
-      [](void* p) { (**static_cast<D**>(p))(); },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) D*(*static_cast<D**>(src));
-      },
-      [](void* p) noexcept { delete *static_cast<D**>(p); },
   };
 
   void reset() noexcept {

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "bgp/bgp_router.hpp"
-#include "netsim/chaos.hpp"
 
 namespace nidkit::bgp {
 namespace {
@@ -133,11 +132,10 @@ TEST(BgpAdvertise, ReAdvertisesAfterSessionRecovery) {
   rig.run_for(5s);
   ASSERT_EQ(rig.routers[1]->routes().size(), 1u);
 
-  netsim::ChaosController chaos(rig.net);
-  chaos.cut(0);
+  rig.net.fault(0).down = true;
   rig.run_for(120s);  // hold expiry + resets
   EXPECT_TRUE(rig.routers[1]->routes().empty());
-  chaos.restore(0);
+  rig.net.fault(0).down = false;
   rig.run_for(60s);
   ASSERT_EQ(rig.routers[1]->routes().size(), 1u);
   EXPECT_EQ(rig.routers[1]->routes()[0].prefix, pfx(9));
@@ -174,8 +172,7 @@ TEST(BgpAdvertise, BestPathSwitchesOnShorterAlternative) {
   ASSERT_EQ(at_r2.size(), 1u);
   EXPECT_EQ(at_r2[0].path.size(), 1u);  // direct via the r0-r2 link
 
-  netsim::ChaosController chaos(net);
-  chaos.cut(s02);
+  net.fault(s02).down = true;
   sim.run_until(SimTime{150s});  // hold expiry + reconvergence
   at_r2 = routers[2]->routes();
   ASSERT_EQ(at_r2.size(), 1u);

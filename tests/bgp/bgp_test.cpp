@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "bgp/bgp_router.hpp"
-#include "netsim/chaos.hpp"
 
 namespace nidkit::bgp {
 namespace {
@@ -172,8 +171,7 @@ TEST(Bgp, HoldTimerDetectsSilentPeer) {
   rig.init_line(2, bgp_robust_profile());
   rig.start_all();
   rig.run_for(10s);
-  netsim::ChaosController chaos(rig.net);
-  chaos.cut(0);
+  rig.net.fault(0).down = true;
   rig.run_for(95s);  // hold time 90 s
   EXPECT_NE(rig.r(0).session_state(0), SessionState::kEstablished);
   EXPECT_GT(rig.r(0).stats().session_resets, 0u);
@@ -186,10 +184,9 @@ TEST(Bgp, SessionRecoversAfterLinkRestored) {
   rig.run_for(10s);
   rig.r(0).originate(test_prefix());
   rig.run_for(5s);
-  netsim::ChaosController chaos(rig.net);
-  chaos.cut(0);
+  rig.net.fault(0).down = true;
   rig.run_for(120s);
-  chaos.restore(0);
+  rig.net.fault(0).down = false;
   rig.run_for(60s);
   EXPECT_EQ(rig.r(0).session_state(0), SessionState::kEstablished);
   ASSERT_EQ(rig.r(1).routes().size(), 1u);  // route re-learned
@@ -203,8 +200,7 @@ TEST(Bgp, RouteLostWhenSessionDies) {
   rig.r(0).originate(test_prefix());
   rig.run_for(5s);
   ASSERT_EQ(rig.r(1).routes().size(), 1u);
-  netsim::ChaosController chaos(rig.net);
-  chaos.cut(0);
+  rig.net.fault(0).down = true;
   rig.run_for(100s);
   EXPECT_TRUE(rig.r(1).routes().empty());
 }

@@ -193,6 +193,9 @@ TEST(Cli, EveryCommandRejectsBadFlags) {
       {"sweep", "--max-ms", "9223372036854775807", "--step-ms", "1"},
       "--max-ms");
   expect_usage_error({"audit", "--jobs", "32768"}, "--jobs");
+  // A step below the 50 ms minimum was once raised to it in silence.
+  expect_usage_error({"sweep", "--max-ms", "100", "--step-ms", "10"},
+                     "--step-ms");
   expect_usage_error({"audit", "--json"}, "--json");
   // More routers or churn events than the address plan has octets for
   // (mesh-100000 once exhausted the host).

@@ -26,13 +26,13 @@ RelationSet set_with(std::initializer_list<std::pair<const char*, const char*>>
 TEST(Compare, IdenticalSetsProduceNoDiscrepancies) {
   const auto a = set_with({{"Hello", "Hello"}, {"LSU", "LSAck"}});
   const auto b = set_with({{"Hello", "Hello"}, {"LSU", "LSAck"}});
-  EXPECT_TRUE(compare({"a", &a}, {"b", &b}).empty());
+  EXPECT_TRUE(compare_all({{"a", &a}, {"b", &b}}).empty());
 }
 
 TEST(Compare, OneSidedCellFlaggedWithHaverAndLacker) {
   const auto a = set_with({{"Hello", "Hello"}, {"LSU", "LSAck"}});
   const auto b = set_with({{"Hello", "Hello"}});
-  const auto found = compare({"frr", &a}, {"bird", &b});
+  const auto found = compare_all({{"frr", &a}, {"bird", &b}});
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].cell, (mining::RelationCell{"LSU", "LSAck"}));
   EXPECT_EQ(found[0].present_in, "frr");
@@ -43,7 +43,7 @@ TEST(Compare, OneSidedCellFlaggedWithHaverAndLacker) {
 TEST(Compare, BothSidesCanBeFlagged) {
   const auto a = set_with({{"X", "Y"}});
   const auto b = set_with({{"P", "Q"}});
-  const auto found = compare({"a", &a}, {"b", &b});
+  const auto found = compare_all({{"a", &a}, {"b", &b}});
   EXPECT_EQ(found.size(), 2u);
 }
 
@@ -51,7 +51,7 @@ TEST(Compare, DirectionsComparedSeparately) {
   RelationSet a, b;
   a.add(kSR, {"X", "Y"}, SimTime{0s}, 0, 0);
   b.add(kRS, {"X", "Y"}, SimTime{0s}, 0, 0);
-  const auto found = compare({"a", &a}, {"b", &b});
+  const auto found = compare_all({{"a", &a}, {"b", &b}});
   ASSERT_EQ(found.size(), 2u);
   EXPECT_NE(found[0].direction, found[1].direction);
 }
@@ -89,7 +89,7 @@ TEST(Render, MatrixRespectsRequestedOrder) {
 TEST(Render, DiscrepanciesListIsReadable) {
   const auto a = set_with({{"LSU", "LSAck"}});
   const auto b = set_with({});
-  const auto found = compare({"frr", &a}, {"bird", &b});
+  const auto found = compare_all({{"frr", &a}, {"bird", &b}});
   const auto text = render_discrepancies(found);
   EXPECT_NE(text.find("LSU -> LSAck"), std::string::npos);
   EXPECT_NE(text.find("present in frr"), std::string::npos);
@@ -133,7 +133,7 @@ TEST(Json, AuditShapeIsWellFormed) {
   const auto a = set_with({{"LSU", "LSAck"}});
   const auto b = set_with({});
   const std::vector<NamedRelations> named = {{"frr", &a}, {"bird", &b}};
-  const auto flags = compare(named[0], named[1]);
+  const auto flags = compare_all(named);
   const auto json = to_json(named, flags);
   // Structural smoke checks (we emit, we do not parse).
   EXPECT_EQ(json.front(), '{');

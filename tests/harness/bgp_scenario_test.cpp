@@ -73,8 +73,8 @@ TEST(BgpScenario, MinerFlagsTheIncident) {
   EXPECT_TRUE(fragile.has(dir, "UPDATE+longpath", "NOTIFICATION"));
   EXPECT_FALSE(robust.has(dir, "UPDATE+longpath", "NOTIFICATION"));
 
-  const auto flags = detect::compare({"bgp-robust", &robust},
-                                     {"bgp-fragile", &fragile});
+  const auto flags = detect::compare_all(
+      {{"bgp-robust", &robust}, {"bgp-fragile", &fragile}});
   bool incident_flagged = false;
   for (const auto& d : flags)
     if (d.cell.stimulus == "UPDATE+longpath" &&

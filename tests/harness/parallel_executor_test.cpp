@@ -143,20 +143,12 @@ TEST(ParallelExecutor, ExecReportListsEveryScenarioCanonically) {
   const auto audit = audit_ospf(impls, config, mining::ospf_type_scheme());
   const std::size_t expected =
       impls.size() * config.topologies.size() * config.seeds.size();
-  ASSERT_EQ(audit.exec.tasks.size(), expected);
   EXPECT_EQ(audit.exec.tasks_run, expected);
   EXPECT_EQ(audit.exec.jobs, 4u);
-  for (std::size_t i = 0; i < audit.exec.tasks.size(); ++i) {
-    EXPECT_EQ(audit.exec.tasks[i].index, i);
-    EXPECT_FALSE(audit.exec.tasks[i].label.empty());
-  }
-  // Canonical order is (implementation, topology, seed): frr first.
-  EXPECT_EQ(audit.exec.tasks.front().label.rfind("frr/", 0), 0u);
-  EXPECT_EQ(audit.exec.tasks.back().label.rfind("bird/", 0), 0u);
-  // Telemetry JSON is well-formed enough to name every scenario.
   const auto json = audit.exec.to_json();
   EXPECT_NE(json.find("\"jobs\":4"), std::string::npos);
-  EXPECT_NE(json.find(audit.exec.tasks.front().label), std::string::npos);
+  EXPECT_NE(json.find("\"tasks_run\":" + std::to_string(expected)),
+            std::string::npos);
   // No cache was configured, so the report must not claim one: the
   // "cache" object only appears on cache-enabled runs.
   EXPECT_FALSE(audit.exec.cache_enabled);
@@ -166,13 +158,12 @@ TEST(ParallelExecutor, ExecReportListsEveryScenarioCanonically) {
 TEST(ParallelExecutor, RunIndexedReturnsCanonicalOrder) {
   ExecReport report;
   const auto results = run_indexed(
-      4, 40, {}, [](std::size_t i) { return i * i; }, report);
+      4, 40, [](std::size_t i) { return i * i; }, report);
   ASSERT_EQ(results.size(), 40u);
   for (std::size_t i = 0; i < results.size(); ++i)
     EXPECT_EQ(results[i], i * i);
   EXPECT_EQ(report.jobs, 4u);
   EXPECT_EQ(report.tasks_run, 40u);
-  EXPECT_EQ(report.tasks.size(), 40u);
 }
 
 TEST(ParallelExecutor, RunIndexedRethrowsTheLowestFailingIndex) {
@@ -182,7 +173,7 @@ TEST(ParallelExecutor, RunIndexedRethrowsTheLowestFailingIndex) {
     ExecReport report;
     try {
       run_indexed(
-          jobs, ran.size(), {},
+          jobs, ran.size(),
           [&ran](std::size_t i) {
             ++ran[i];
             if (i == 9 || i == 40)
@@ -216,7 +207,7 @@ TEST(ParallelExecutor, DefaultJobsFollowTheAffinityMask) {
   const std::size_t narrowed = worker_count(0);
   ExecReport report;
   const auto ids = run_indexed(
-      0, 8, {}, [](std::size_t) { return std::this_thread::get_id(); },
+      0, 8, [](std::size_t) { return std::this_thread::get_id(); },
       report);
   ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
 
@@ -231,7 +222,7 @@ TEST(ParallelExecutor, JobsZeroMeansHardware) {
   // jobs 0 is the hardware this process may use: one worker per CPU of its
   // affinity mask, never more than the host has.
   ExecReport report;
-  run_indexed(0, 1, {}, [](std::size_t i) { return i; }, report);
+  run_indexed(0, 1, [](std::size_t i) { return i; }, report);
   EXPECT_EQ(report.jobs, worker_count(0));
   if (const unsigned hardware = std::thread::hardware_concurrency()) {
     EXPECT_LE(worker_count(0), hardware);
@@ -245,25 +236,19 @@ TEST(ThreadPool, DefaultWorkerCountIsAtLeastOne) {
 }
 
 TEST(ThreadPool, FuturesCarryResultsBack) {
-  std::vector<std::string> labels;
-  for (int i = 0; i < 32; ++i) labels.push_back("task-" + std::to_string(i));
   ExecReport report;
   const auto results = run_indexed(
-      4, labels.size(), labels,
-      [](std::size_t i) { return static_cast<int>(i * i); }, report);
+      4, 32, [](std::size_t i) { return static_cast<int>(i * i); }, report);
   ASSERT_EQ(results.size(), 32u);
-  ASSERT_EQ(report.tasks.size(), 32u);
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(results[i], i * i);
-    EXPECT_EQ(report.tasks[i].label, labels[i]);
-  }
+  for (int i = 0; i < 32; ++i) EXPECT_EQ(results[i], i * i);
+  EXPECT_EQ(report.tasks_run, 32u);
 }
 
 TEST(ThreadPool, EveryTaskRunsEvenWithOneWorker) {
   std::atomic<int> sum{0};
   ExecReport report;
   run_indexed(
-      1, 100, {},
+      1, 100,
       [&sum](std::size_t i) { return sum += static_cast<int>(i) + 1; },
       report);
   EXPECT_EQ(sum.load(), 5050);
@@ -275,7 +260,7 @@ TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
   std::atomic<int> ok{0};
   ExecReport report;
   EXPECT_THROW(run_indexed(
-                   2, 2, {},
+                   2, 2,
                    [&ok](std::size_t i) -> int {
                      if (i == 1) throw std::runtime_error("scenario failed");
                      return ok = 7;
@@ -290,7 +275,7 @@ TEST(ThreadPool, AnExceptionDoesNotKillTheWorker) {
   std::atomic<int> after{0};
   ExecReport report;
   EXPECT_THROW(run_indexed(
-                   1, 2, {},
+                   1, 2,
                    [&after](std::size_t i) -> int {
                      if (i == 0) throw std::runtime_error("boom");
                      return after = 42;
@@ -303,7 +288,7 @@ TEST(ThreadPool, AnExceptionDoesNotKillTheWorker) {
 TEST(ThreadPool, ManyWorkersManyTasks) {
   ExecReport report;
   const auto results = run_indexed(
-      8, 200, {}, [](std::size_t i) { return i; }, report);
+      8, 200, [](std::size_t i) { return i; }, report);
   std::size_t sum = 0;
   for (const auto r : results) sum += r;
   EXPECT_EQ(sum, 200u * 199u / 2);
@@ -314,7 +299,7 @@ TEST(ThreadPool, ManyWorkersManyTasks) {
 TEST(ThreadPool, MoveOnlyResultsWork) {
   ExecReport report;
   const auto results = run_indexed(
-      2, 3, {},
+      2, 3,
       [](std::size_t i) { return std::make_unique<std::size_t>(i + 99); },
       report);
   ASSERT_EQ(results.size(), 3u);
@@ -327,20 +312,14 @@ TEST(ParallelExecutor, AccumulateRebasesIndices) {
   a.jobs = 2;
   a.tasks_run = 3;
   a.wall_ms = 10;
-  a.tasks = {{0, "x", 1}, {1, "y", 2}, {2, "z", 3}};
   ExecReport b;
   b.jobs = 4;
   b.tasks_run = 2;
   b.wall_ms = 5;
-  b.tasks = {{0, "p", 4}, {1, "q", 5}};
   a.accumulate(b);
   EXPECT_EQ(a.jobs, 4u);
   EXPECT_EQ(a.tasks_run, 5u);
   EXPECT_EQ(a.wall_ms, 15);
-  ASSERT_EQ(a.tasks.size(), 5u);
-  EXPECT_EQ(a.tasks[3].index, 3u);
-  EXPECT_EQ(a.tasks[3].label, "p");
-  EXPECT_EQ(a.tasks[4].index, 4u);
 }
 
 }  // namespace

@@ -67,8 +67,7 @@ TEST(Stability, StableComparisonStillFlagsTable2Discrepancy) {
                                     mining::ospf_greater_lssn_scheme(), 0.5);
   const auto bird = stable_relations(ospf::bird_profile(), c,
                                      mining::ospf_greater_lssn_scheme(), 0.5);
-  const auto flags =
-      detect::compare({"frr", &frr}, {"bird", &bird});
+  const auto flags = detect::compare_all({{"frr", &frr}, {"bird", &bird}});
   bool headline = false;
   for (const auto& d : flags)
     if (d.cell.response == "LSAck+gtSN" && d.present_in == "bird")

@@ -1,6 +1,9 @@
-#include "netsim/chaos.hpp"
-
+// Mid-run fault changes, the way Pumba applies netem rules to a running
+// container: a test writes Network::fault directly, at once or from a
+// scheduled event, and the next frame sent sees the new model.
 #include <gtest/gtest.h>
+
+#include "netsim/network.hpp"
 
 namespace nidkit::netsim {
 namespace {
@@ -12,65 +15,12 @@ struct ChaosFixture : ::testing::Test {
   Network net{sim, 1};
   NodeId a = net.add_node("a");
   NodeId b = net.add_node("b");
-  NodeId c = net.add_node("c");
   SegmentId ab = net.add_p2p(a, b);
-  SegmentId bc = net.add_p2p(b, c);
-  ChaosController chaos{net};
 };
 
-TEST_F(ChaosFixture, SetDelayAllHitsEverySegment) {
-  chaos.set_delay_all(900ms);
-  EXPECT_EQ(net.fault(ab).delay, SimDuration{900ms});
-  EXPECT_EQ(net.fault(bc).delay, SimDuration{900ms});
-}
-
-TEST_F(ChaosFixture, PerSegmentDelayAndJitter) {
-  chaos.set_delay(ab, 100ms, 20ms);
-  EXPECT_EQ(net.fault(ab).delay, SimDuration{100ms});
-  EXPECT_EQ(net.fault(ab).jitter, SimDuration{20ms});
-  EXPECT_EQ(net.fault(bc).delay, SimDuration{0ms});
-}
-
-TEST_F(ChaosFixture, LossDuplicateReorderKnobs) {
-  chaos.set_loss(ab, 0.25);
-  chaos.set_duplicate(ab, 0.5);
-  chaos.set_reorder(ab, 0.75, 40ms);
-  EXPECT_DOUBLE_EQ(net.fault(ab).loss, 0.25);
-  EXPECT_DOUBLE_EQ(net.fault(ab).duplicate, 0.5);
-  EXPECT_DOUBLE_EQ(net.fault(ab).reorder, 0.75);
-  EXPECT_EQ(net.fault(ab).reorder_extra, SimDuration{40ms});
-}
-
-TEST_F(ChaosFixture, CutAndRestore) {
-  chaos.cut(ab);
-  EXPECT_TRUE(net.fault(ab).down);
-  chaos.restore(ab);
-  EXPECT_FALSE(net.fault(ab).down);
-}
-
-TEST_F(ChaosFixture, ScheduledWindowAppliesAndReverts) {
-  chaos.set_delay(ab, 10ms);
-  FaultModel storm;
-  storm.delay = 500ms;
-  storm.loss = 0.9;
-  chaos.schedule_window(ab, SimTime{1s}, 2s, storm);
-
-  sim.run_until(SimTime{500ms});
-  EXPECT_EQ(net.fault(ab).delay, SimDuration{10ms});
-
-  sim.run_until(SimTime{1500ms});
-  EXPECT_EQ(net.fault(ab).delay, SimDuration{500ms});
-  EXPECT_DOUBLE_EQ(net.fault(ab).loss, 0.9);
-
-  sim.run_until(SimTime{3500ms});
-  EXPECT_EQ(net.fault(ab).delay, SimDuration{10ms});
-  EXPECT_DOUBLE_EQ(net.fault(ab).loss, 0.0);
-}
-
 TEST_F(ChaosFixture, WindowedCutDisruptsDelivery) {
-  FaultModel cut_model;
-  cut_model.down = true;
-  chaos.schedule_window(ab, SimTime{10ms}, 100ms, cut_model);
+  sim.schedule_at(SimTime{10ms}, [&] { net.fault(ab).down = true; });
+  sim.schedule_at(SimTime{110ms}, [&] { net.fault(ab).down = false; });
   int got = 0;
   net.set_receive_handler(b, [&](IfaceIndex, const Frame&) { ++got; });
 
@@ -92,7 +42,7 @@ TEST_F(ChaosFixture, FifoSurvivesMidRunDelayChange) {
   // An in-flight frame delayed 500 ms must not be overtaken by a frame
   // sent later under a reduced 10 ms delay when the link is FIFO.
   net.fault(ab).fifo = true;
-  chaos.set_delay(ab, 500ms);
+  net.fault(ab).delay = 500ms;
   std::vector<std::uint8_t> order;
   net.set_receive_handler(b, [&](IfaceIndex, const Frame& f) {
     order.push_back(f.payload[0]);
@@ -106,7 +56,7 @@ TEST_F(ChaosFixture, FifoSurvivesMidRunDelayChange) {
   };
   send(1);
   sim.schedule(100ms, [&] {
-    chaos.set_delay(ab, 10ms);
+    net.fault(ab).delay = 10ms;
     send(2);
   });
   sim.run();
@@ -114,7 +64,7 @@ TEST_F(ChaosFixture, FifoSurvivesMidRunDelayChange) {
 }
 
 TEST_F(ChaosFixture, NonFifoAllowsOvertakingAfterDelayDrop) {
-  chaos.set_delay(ab, 500ms);
+  net.fault(ab).delay = 500ms;
   std::vector<std::uint8_t> order;
   net.set_receive_handler(b, [&](IfaceIndex, const Frame& f) {
     order.push_back(f.payload[0]);
@@ -128,7 +78,7 @@ TEST_F(ChaosFixture, NonFifoAllowsOvertakingAfterDelayDrop) {
   };
   send(1);
   sim.schedule(100ms, [&] {
-    chaos.set_delay(ab, 10ms);
+    net.fault(ab).delay = 10ms;
     send(2);
   });
   sim.run();

@@ -137,8 +137,7 @@ TEST(Adjacency, LinkCutDropsAdjacencyAfterDeadInterval) {
   testutil::init_two(rig, frr_profile());
   rig.start_all();
   rig.run_for(60s);
-  netsim::ChaosController chaos(rig.net);
-  chaos.cut(0);
+  rig.net.fault(0).down = true;
   rig.run_for(60s);
   EXPECT_EQ(rig.r(0).neighbor_state(rig.id(1)), NeighborState::kDown);
   EXPECT_EQ(rig.r(1).neighbor_state(rig.id(0)), NeighborState::kDown);
@@ -149,10 +148,9 @@ TEST(Adjacency, ReconvergesAfterLinkRestored) {
   testutil::init_two(rig, frr_profile());
   rig.start_all();
   rig.run_for(60s);
-  netsim::ChaosController chaos(rig.net);
-  chaos.cut(0);
+  rig.net.fault(0).down = true;
   rig.run_for(60s);
-  chaos.restore(0);
+  rig.net.fault(0).down = false;
   rig.run_for(60s);
   EXPECT_EQ(rig.r(0).neighbor_state(rig.id(1)), NeighborState::kFull);
   EXPECT_EQ(rig.r(1).neighbor_state(rig.id(0)), NeighborState::kFull);

@@ -66,7 +66,6 @@ TEST(Flooding, LostLsuIsRetransmitted) {
   rig.run_for(60s);
   // Black-hole the link for 3 s around the flood so the first LSU copy is
   // lost, then let retransmission repair it.
-  netsim::ChaosController chaos(rig.net);
   const auto t0 = rig.sim.now();
   rig.sim.schedule_at(t0 + 1s, [&] {
     rig.net.fault(0).loss = 1.0;

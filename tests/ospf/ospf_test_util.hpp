@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "netsim/chaos.hpp"
 #include "netsim/network.hpp"
 #include "netsim/simulator.hpp"
 #include "ospf/router.hpp"

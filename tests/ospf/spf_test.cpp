@@ -123,8 +123,7 @@ TEST(Spf, RoutesVanishWhenTopologyPartitions) {
   rig.start_all();
   rig.run_for(90s);
   ASSERT_EQ(rig.r(0).routes().size(), 2u);
-  netsim::ChaosController chaos(rig.net);
-  chaos.cut(1);  // r1-r2 link
+  rig.net.fault(1).down = true;  // r1-r2 link
   rig.run_for(90s);
   // The far /30 is no longer reachable from r0: only the local subnet
   // (and r1's stub view of the dead link, which r1 withdraws) remain.

@@ -6,7 +6,7 @@
 #include <memory>
 #include <utility>
 
-#include "netsim/chaos.hpp"
+#include "netsim/network.hpp"
 #include "rip/rip_router.hpp"
 
 namespace nidkit::rip {

@@ -6,7 +6,7 @@
 #include <memory>
 #include <utility>
 
-#include "netsim/chaos.hpp"
+#include "netsim/network.hpp"
 #include "rip/rip_router.hpp"
 
 namespace nidkit::rip {
@@ -189,8 +189,7 @@ TEST(Rip, LearnedRouteExpiresAcrossCutLink) {
   const auto far_subnet = rig.r(3).routes()[0].prefix;  // r2-r3 /30
   rig.run_for(120s);
   ASSERT_TRUE(table_of(rig.r(1)).count(far_subnet.value()));
-  netsim::ChaosController chaos(rig.net);
-  chaos.cut(1);  // the r1-r2 link
+  rig.net.fault(1).down = true;  // the r1-r2 link
   rig.run_for(220s);  // beyond the 180 s route timeout
   const auto t1 = table_of(rig.r(1));
   const auto it = t1.find(far_subnet.value());
@@ -211,8 +210,7 @@ TEST(Rip, UnreachableRouteGarbageCollected) {
   rig.run_for(1ms);
   const auto far_subnet = rig.r(3).routes()[0].prefix;
   rig.run_for(120s);
-  netsim::ChaosController chaos(rig.net);
-  chaos.cut(1);
+  rig.net.fault(1).down = true;
   rig.run_for(400s);  // timeout (180) + gc (120) + slack
   const auto t1 = table_of(rig.r(1));
   EXPECT_EQ(t1.count(far_subnet.value()), 0u)

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "harness/scenario.hpp"
 #include "mining/miner.hpp"
@@ -136,6 +138,56 @@ TEST(TraceIo, RejectsCorruptHex) {
   std::stringstream buf(
       "nidkit-trace v1 1\n0 0 0 S 1 2 89 1 0 -1 zz\n");
   EXPECT_FALSE(TraceLog::load(buf).ok());
+}
+
+TEST(TraceIo, RejectsRecordsOutOfTimeOrder) {
+  // A real trace with its records reversed once loaded and mined to an
+  // empty relation set.
+  const TraceLog original = real_trace();
+  std::stringstream buf;
+  original.save(buf);
+  std::string header;
+  std::getline(buf, header);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(buf, line);) lines.push_back(line);
+  ASSERT_GT(lines.size(), 1u);
+  std::string reversed = header + "\n";
+  for (auto it = lines.rbegin(); it != lines.rend(); ++it)
+    reversed += *it + "\n";
+  std::stringstream in(reversed);
+  const auto out = TraceLog::load(in);
+  ASSERT_FALSE(out.ok());
+  EXPECT_NE(out.error().find("at record 1"), std::string::npos)
+      << out.error();
+}
+
+TEST(TraceIo, RejectsNodeIdsNoNetworkHas) {
+  // The per-node index is sized by the largest id: 4000000000 once asked
+  // for 128 GB.
+  std::stringstream buf(
+      "nidkit-trace v1 1\n0 4000000000 0 S 1 2 89 1 0 -1 -\n");
+  const auto out = TraceLog::load(buf);
+  ASSERT_FALSE(out.ok());
+  EXPECT_NE(out.error().find("4000000000"), std::string::npos) << out.error();
+  EXPECT_NE(out.error().find("at record 0"), std::string::npos)
+      << out.error();
+
+  std::stringstream last("nidkit-trace v1 1\n0 " +
+                         std::to_string(TraceLog::kMaxNodes - 1) +
+                         " 0 S 1 2 89 1 0 -1 -\n");
+  EXPECT_TRUE(TraceLog::load(last).ok());
+}
+
+TEST(TraceIo, RejectsProtocolsAbove255) {
+  // 345 once loaded as 89 (345 mod 256) and mined exactly like OSPF.
+  for (const char* protocol : {"345", "256", "-1"}) {
+    std::stringstream buf(std::string("nidkit-trace v1 1\n0 0 0 S 1 2 ") +
+                          protocol + " 1 0 -1 -\n");
+    const auto out = TraceLog::load(buf);
+    ASSERT_FALSE(out.ok()) << protocol;
+    EXPECT_NE(out.error().find("at record 0"), std::string::npos)
+        << out.error();
+  }
 }
 
 TEST(TraceIo, EmptyTraceRoundTrips) {
