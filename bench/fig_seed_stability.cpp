@@ -9,17 +9,15 @@
 // discrepancy survives; most single-seed noise does not).
 #include <cstdio>
 
-#include "bench_flags.hpp"
 #include "detect/detect.hpp"
 #include "harness/stability.hpp"
 
 using namespace nidkit;
 using namespace std::chrono_literals;
 
-int main(int argc, char** argv) {
+int main() {
   harness::ExperimentConfig config;
   config.seeds = {1, 2, 3, 4, 5};
-  config.jobs = bench::jobs_from_argv(argc, argv);
 
   std::printf("=== Relationship stability across %zu seeds (type "
               "granularity) ===\n\n",

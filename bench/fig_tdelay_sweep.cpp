@@ -20,17 +20,15 @@
 // retransmission timeout" guidance.
 #include <cstdio>
 
-#include "bench_flags.hpp"
 #include "harness/experiment.hpp"
 
 using namespace nidkit;
 using namespace std::chrono_literals;
 
-int main(int argc, char** argv) {
+int main() {
   harness::ExperimentConfig config;
   config.seeds = {1, 2};
   config.link_jitter = 400ms;
-  config.jobs = bench::jobs_from_argv(argc, argv);
 
   std::vector<SimDuration> tdelays;
   for (int ms = 0; ms <= 1500; ms += 150) tdelays.push_back(SimDuration{ms * 1000});

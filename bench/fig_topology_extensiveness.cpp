@@ -10,17 +10,15 @@
 // extras add little to nothing.
 #include <cstdio>
 
-#include "bench_flags.hpp"
 #include "harness/experiment.hpp"
 
 using namespace nidkit;
 using namespace std::chrono_literals;
 
-int main(int argc, char** argv) {
+int main() {
   harness::ExperimentConfig config;
   config.topologies = topo::extended_topologies();
   config.seeds = {1, 2};
-  config.jobs = bench::jobs_from_argv(argc, argv);
 
   std::printf("=== Relationship extensiveness vs topology set ===\n\n");
 

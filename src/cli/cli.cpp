@@ -259,13 +259,12 @@ constexpr std::size_t kMaxChurnTimes = 256;
 /// implementation) stays in memory until the merge.
 constexpr std::size_t kMaxSeeds = 4'096;
 
-/// The experiment config the flags describe, recording into `record`
-/// (null: nothing recorded).
-std::optional<harness::ExperimentConfig> config_from(const Args& args,
-                                                     obs::RunRecord* record,
-                                                     std::ostream& err) {
-  harness::ExperimentConfig config;
-  config.record = record;
+/// The experiment config the flags describe, in the executor context
+/// `base` carries.
+std::optional<harness::ExperimentConfig> config_from(
+    const Args& args, const harness::ExperimentConfig& base,
+    std::ostream& err) {
+  harness::ExperimentConfig config = base;
   const std::string topos = args.get("topos", "paper");
   if (topos == "paper") {
     config.topologies = topo::paper_topologies();
@@ -338,10 +337,6 @@ std::optional<harness::ExperimentConfig> config_from(const Args& args,
       return std::nullopt;
     }
   }
-  // 0 keeps the default: one worker per CPU this process may run on.
-  if (const auto jobs = args.get_int("jobs"))
-    config.jobs = static_cast<std::size_t>(*jobs);
-  config.cache_dir = resolve_cache_dir(args);
   return config;
 }
 
@@ -357,21 +352,16 @@ bool write_file(const std::string& path, const std::string& text,
   return true;
 }
 
-/// Writes executor telemetry to --stats-out, when given.
-bool write_stats_file(const Args& args, const harness::ExecReport& exec,
-                      std::ostream& err) {
-  const std::string path = args.get("stats-out", "");
-  return path.empty() || write_file(path, exec.to_json() + "\n", err);
-}
-
-/// Scoped wall-clock session for one telemetry command: when --metrics-out
-/// or --trace-out is given, resets the wall registry and turns recording
+/// Scoped telemetry session for one command: writes its --stats-out,
+/// --metrics-out and --trace-out files together. When --metrics-out or
+/// --trace-out is given, it resets the wall registry and turns recording
 /// on, and restores the previous switch on destruction (run_cli is
 /// re-entrant — tests share one process).
 class ObsSession {
  public:
   ObsSession(const Args& args, std::ostream& err)
-      : metrics_path_(args.get("metrics-out", "")),
+      : stats_path_(args.get("stats-out", "")),
+        metrics_path_(args.get("metrics-out", "")),
         trace_path_(args.get("trace-out", "")),
         err_(err),
         was_enabled_(obs::enabled()) {
@@ -386,12 +376,15 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  /// Writes the requested files from `record` and the wall registry.
-  /// Returns false after reporting any I/O failure.
-  bool write(const obs::RunRecord& record) const {
+  /// Writes the requested files from `exec`, `record` and the wall
+  /// registry. Returns false after reporting any I/O failure.
+  bool write(const harness::ExecReport& exec,
+             const obs::RunRecord& record) const {
     bool ok = true;
+    if (!stats_path_.empty())
+      ok = write_file(stats_path_, exec.to_json() + "\n", err_);
     if (!metrics_path_.empty())
-      ok = write_file(metrics_path_, obs::metrics_json(record), err_);
+      ok = write_file(metrics_path_, obs::metrics_json(record), err_) && ok;
     if (!trace_path_.empty()) {
       std::ostringstream trace;
       obs::Registry::instance().write_trace_json(trace);
@@ -405,16 +398,17 @@ class ObsSession {
     return !metrics_path_.empty() || !trace_path_.empty();
   }
 
+  std::string stats_path_;
   std::string metrics_path_;
   std::string trace_path_;
   std::ostream& err_;
   bool was_enabled_;
 };
 
-int cmd_audit(const Args& args, obs::RunRecord* record, std::ostream& out,
-              std::ostream& err) {
+int cmd_audit(const Args& args, const harness::ExperimentConfig& base,
+              std::ostream& out, std::ostream& err) {
   const std::string protocol = args.get("protocol", "ospf");
-  auto config = config_from(args, record, err);
+  auto config = config_from(args, base, err);
   if (!config) return 2;
 
   if (protocol == "ospf") {
@@ -426,7 +420,6 @@ int cmd_audit(const Args& args, obs::RunRecord* record, std::ostream& out,
       return 2;
     }
     const auto audit = harness::audit_ospf(*impls, *config, *scheme);
-    if (!write_stats_file(args, audit.exec, err)) return 2;
     if (args.get("format", "text") == "json") {
       out << detect::to_json(audit.named(), audit.discrepancies) << "\n";
       return 0;
@@ -450,7 +443,6 @@ int cmd_audit(const Args& args, obs::RunRecord* record, std::ostream& out,
     const auto audit = harness::audit_rip(
         {rip::rip_classic_profile(), rip::rip_eager_profile()}, *config,
         mining::rip_refined_scheme());
-    if (!write_stats_file(args, audit.exec, err)) return 2;
     out << detect::render_discrepancies(audit.discrepancies);
     return 0;
   }
@@ -465,7 +457,6 @@ int cmd_audit(const Args& args, obs::RunRecord* record, std::ostream& out,
     const auto audit = harness::audit_bgp(
         {bgp::bgp_robust_profile(), bgp::bgp_fragile_profile()}, *config,
         mining::bgp_message_scheme());
-    if (!write_stats_file(args, audit.exec, err)) return 2;
     out << detect::render_discrepancies(audit.discrepancies);
     return 0;
   }
@@ -473,8 +464,8 @@ int cmd_audit(const Args& args, obs::RunRecord* record, std::ostream& out,
   return 2;
 }
 
-int cmd_trace(const Args& args, obs::RunRecord*, std::ostream& out,
-              std::ostream& err) {
+int cmd_trace(const Args& args, const harness::ExperimentConfig&,
+              std::ostream& out, std::ostream& err) {
   const auto profile = ospf_profile_by_name(args.get("impl", "frr"));
   if (!profile) {
     err << "unknown implementation\n";
@@ -516,8 +507,8 @@ int cmd_trace(const Args& args, obs::RunRecord*, std::ostream& out,
   return 0;
 }
 
-int cmd_mine(const Args& args, obs::RunRecord*, std::ostream& out,
-             std::ostream& err) {
+int cmd_mine(const Args& args, const harness::ExperimentConfig&,
+             std::ostream& out, std::ostream& err) {
   if (!args.has("in")) {
     err << "mine needs --in <trace file>\n";
     return 2;
@@ -545,31 +536,25 @@ int cmd_mine(const Args& args, obs::RunRecord*, std::ostream& out,
   return 0;
 }
 
-int cmd_sweep(const Args& args, obs::RunRecord* record, std::ostream& out,
-              std::ostream& err) {
+int cmd_sweep(const Args& args, const harness::ExperimentConfig& base,
+              std::ostream& out, std::ostream& err) {
   const auto profile = ospf_profile_by_name(args.get("impl", "frr"));
   if (!profile) {
     err << "unknown implementation\n";
     return 2;
   }
-  harness::ExperimentConfig config;
+  harness::ExperimentConfig config = base;
   config.topologies = {topo::Spec{topo::Kind::kLinear, 2},
                        topo::Spec{topo::Kind::kMesh, 3}};
   config.seeds = {1};
   config.link_jitter = 400ms;
-  if (const auto jobs = args.get_int("jobs"))
-    config.jobs = static_cast<std::size_t>(*jobs);
-  config.cache_dir = resolve_cache_dir(args);
-  config.record = record;
   const long long max_ms = args.get_int("max-ms").value_or(1500);
   const long long step_ms = args.get_int("step-ms").value_or(150);
   std::vector<SimDuration> tds;
   for (long long ms = 0; ms <= max_ms; ms += step_ms)
     tds.push_back(SimDuration{ms * 1000});
-  harness::ExecReport exec;
-  const auto sweep = harness::tdelay_sweep(*profile, config, tds,
-                                           mining::ospf_type_scheme(), &exec);
-  if (!write_stats_file(args, exec, err)) return 2;
+  const auto sweep =
+      harness::tdelay_sweep(*profile, config, tds, mining::ospf_type_scheme());
   out << "tdelay_ms unobserved spurious precision recall\n";
   for (const auto& p : sweep) {
     std::ostringstream line;
@@ -581,8 +566,8 @@ int cmd_sweep(const Args& args, obs::RunRecord* record, std::ostream& out,
   return 0;
 }
 
-int cmd_inject(const Args& args, obs::RunRecord*, std::ostream& out,
-               std::ostream& err) {
+int cmd_inject(const Args& args, const harness::ExperimentConfig&,
+               std::ostream& out, std::ostream& err) {
   const auto profile = ospf_profile_by_name(args.get("target", ""));
   if (!profile) {
     err << "inject needs --target frr|bird|strict\n";
@@ -608,9 +593,9 @@ int cmd_inject(const Args& args, obs::RunRecord*, std::ostream& out,
   return 0;
 }
 
-int cmd_triage(const Args& args, obs::RunRecord* record, std::ostream& out,
-               std::ostream& err) {
-  auto config = config_from(args, record, err);
+int cmd_triage(const Args& args, const harness::ExperimentConfig& base,
+               std::ostream& out, std::ostream& err) {
+  auto config = config_from(args, base, err);
   if (!config) return 2;
 
   harness::TriageConfig tc;
@@ -631,7 +616,6 @@ int cmd_triage(const Args& args, obs::RunRecord* record, std::ostream& out,
     tc.max_incidents = static_cast<std::size_t>(*n);
 
   const auto result = harness::triage_ospf(*impls, tc);
-  if (!write_stats_file(args, result.exec, err)) return 2;
   const std::string report = harness::triage_report_json(result);
   const std::string report_out = args.get("report-out", "");
   if (!report_out.empty() && !write_file(report_out, report, err)) return 2;
@@ -672,24 +656,22 @@ int cmd_triage(const Args& args, obs::RunRecord* record, std::ostream& out,
   return 0;
 }
 
-int cmd_stability(const Args& args, obs::RunRecord* record,
+int cmd_stability(const Args& args, const harness::ExperimentConfig& base,
                   std::ostream& out, std::ostream& err) {
   const auto profile = ospf_profile_by_name(args.get("impl", "frr"));
   if (!profile) {
     err << "unknown implementation\n";
     return 2;
   }
-  auto config = config_from(args, record, err);
+  auto config = config_from(args, base, err);
   if (!config) return 2;
   const auto scheme = scheme_by_name(args.get("scheme", "type"));
   if (!scheme) {
     err << "unknown scheme\n";
     return 2;
   }
-  harness::ExecReport exec;
   const auto report =
-      harness::ospf_relation_stability(*profile, *config, *scheme, &exec);
-  if (!write_stats_file(args, exec, err)) return 2;
+      harness::ospf_relation_stability(*profile, *config, *scheme);
   out << "seeds stimulus -> response (occurrences)\n";
   for (const auto& cell : report) {
     out << cell.seeds_seen << '/' << cell.seeds_total << ' '
@@ -700,7 +682,7 @@ int cmd_stability(const Args& args, obs::RunRecord* record,
   return 0;
 }
 
-int cmd_coverage(const Args& args, obs::RunRecord* record,
+int cmd_coverage(const Args& args, const harness::ExperimentConfig& base,
                  std::ostream& out, std::ostream& err) {
   // Runs the audit pipeline and reports what its record saw. The audit's
   // own report is discarded — `nidt audit --metrics-out` keeps both.
@@ -708,8 +690,9 @@ int cmd_coverage(const Args& args, obs::RunRecord* record,
   // the report is byte-identical for every --jobs value and cache
   // temperature.
   std::ostringstream sink;
-  const int rc = cmd_audit(args, record, sink, err);
+  const int rc = cmd_audit(args, base, sink, err);
   if (rc != 0) return rc;
+  const obs::RunRecord* record = base.record;
   if (args.get("format", "text") == "json") {
     out << "{\n\"version\":1,\n" << record->cov_json() << "\n}\n";
     return 0;
@@ -728,8 +711,8 @@ int cmd_coverage(const Args& args, obs::RunRecord* record,
   return 0;
 }
 
-int cmd_cache(const Args& args, obs::RunRecord*, std::ostream& out,
-              std::ostream& err) {
+int cmd_cache(const Args& args, const harness::ExperimentConfig&,
+              std::ostream& out, std::ostream& err) {
   const std::string dir = resolve_cache_dir(args);
   if (dir.empty()) {
     err << "cache needs a directory: pass --cache-dir or set "
@@ -810,7 +793,7 @@ enum : unsigned {
 };
 /// The commands config_from configures.
 constexpr unsigned kExperiment = kAudit | kCoverage | kTriage | kStability;
-/// The commands that write telemetry (ObsSession and write_stats_file).
+/// The commands that run in an executor context and write telemetry.
 constexpr unsigned kTelemetry = kExperiment | kSweep;
 
 /// Every flag, the commands that read it and, for an integer flag, the
@@ -886,7 +869,8 @@ int run_cli(const std::vector<std::string>& tokens, std::ostream& out,
   static constexpr struct {
     std::string_view name;
     unsigned bit;
-    int (*run)(const Args&, obs::RunRecord*, std::ostream&, std::ostream&);
+    int (*run)(const Args&, const harness::ExperimentConfig&, std::ostream&,
+               std::ostream&);
   } kCommands[] = {
       {"audit", kAudit, cmd_audit},         {"trace", kTrace, cmd_trace},
       {"mine", kMine, cmd_mine},            {"sweep", kSweep, cmd_sweep},
@@ -905,17 +889,29 @@ int run_cli(const std::vector<std::string>& tokens, std::ostream& out,
     return 2;
   }
   if (!flags_valid(*args, cmd->bit, err)) return 2;
-  if ((cmd->bit & kTelemetry) == 0) return cmd->run(*args, nullptr, out, err);
+  harness::ExperimentConfig base;
+  if ((cmd->bit & kTelemetry) == 0) return cmd->run(*args, base, out, err);
 
-  // One record per telemetry command, attached only when something reads
-  // it: --metrics-out, or the coverage report itself.
+  // One executor context per telemetry command, shared by every fan-out it
+  // makes: one store, one report, and one record, attached only when
+  // something reads it (--metrics-out, or the coverage report itself).
+  const ObsSession session(*args, err);
+  std::optional<cache::Store> store;
+  if (const std::string dir = resolve_cache_dir(*args); !dir.empty())
+    store.emplace(dir);
+  harness::ExecReport exec;
   obs::RunRecord record;
   const bool recorded = args->has("metrics-out") || cmd->bit == kCoverage;
-  const ObsSession session(*args, err);
-  const int rc = cmd->run(*args, recorded ? &record : nullptr, out, err);
+  // 0 keeps the default: one worker per CPU this process may run on.
+  if (const auto jobs = args->get_int("jobs"))
+    base.jobs = static_cast<std::size_t>(*jobs);
+  base.store = store ? &*store : nullptr;
+  base.record = recorded ? &record : nullptr;
+  base.exec = &exec;
+  const int rc = cmd->run(*args, base, out, err);
+  if (rc != 0) return rc;
   // A file-write failure fails an otherwise successful command.
-  if (!session.write(record) && rc == 0) return 2;
-  return rc;
+  return session.write(exec, record) ? 0 : 2;
 }
 
 }  // namespace nidkit::cli

@@ -21,10 +21,8 @@ std::string job_label(const std::string& impl, const topo::Spec& spec,
 /// relation_codec.hpp).
 std::vector<mining::RelationSet> mine_jobs(const std::vector<CachedJob>& jobs,
                                            const ExperimentConfig& config,
-                                           const mining::KeyScheme& scheme,
-                                           ExecReport* exec) {
-  const auto store = open_store(config.cache_dir);
-  auto entries = simulate_and_mine(jobs, config, scheme, store.get(), exec);
+                                           const mining::KeyScheme& scheme) {
+  auto entries = simulate_and_mine(jobs, config, scheme);
   std::vector<mining::RelationSet> sets;
   sets.reserve(entries.size());
   for (auto& e : entries) sets.push_back(std::move(e.relations));
@@ -74,7 +72,7 @@ AuditResult audit_impls(const std::vector<Profile>& profiles,
                 std::make_move_iterator(impl_jobs.end()));
   }
 
-  auto sets = mine_jobs(jobs, config, scheme, &result.exec);
+  auto sets = mine_jobs(jobs, config, scheme);
 
   const std::size_t per_impl = config.topologies.size() * config.seeds.size();
   for (std::size_t p = 0; p < profiles.size(); ++p) {
@@ -92,24 +90,22 @@ AuditResult audit_impls(const std::vector<Profile>& profiles,
 
 mining::RelationSet mine_ospf(const ospf::BehaviorProfile& profile,
                               const ExperimentConfig& config,
-                              const mining::KeyScheme& scheme,
-                              ExecReport* exec) {
+                              const mining::KeyScheme& scheme) {
   auto jobs = scenario_jobs(config, profile.name, [&](Scenario& s) {
     s.protocol = Protocol::kOspf;
     s.ospf_profile = profile;
   });
-  return merge_in_order(mine_jobs(jobs, config, scheme, exec));
+  return merge_in_order(mine_jobs(jobs, config, scheme));
 }
 
 mining::RelationSet mine_rip(const rip::RipProfile& profile,
                              const ExperimentConfig& config,
-                             const mining::KeyScheme& scheme,
-                             ExecReport* exec) {
+                             const mining::KeyScheme& scheme) {
   auto jobs = scenario_jobs(config, profile.name, [&](Scenario& s) {
     s.protocol = Protocol::kRip;
     s.rip_profile = profile;
   });
-  return merge_in_order(mine_jobs(jobs, config, scheme, exec));
+  return merge_in_order(mine_jobs(jobs, config, scheme));
 }
 
 std::vector<detect::NamedRelations> AuditResult::named() const {
@@ -152,8 +148,7 @@ AuditResult audit_bgp(const std::vector<bgp::BgpProfile>& profiles,
 std::vector<SweepPoint> tdelay_sweep(const ospf::BehaviorProfile& profile,
                                      const ExperimentConfig& base,
                                      const std::vector<SimDuration>& tdelays,
-                                     const mining::KeyScheme& scheme,
-                                     ExecReport* exec) {
+                                     const mining::KeyScheme& scheme) {
   // Flatten (tdelay × topology × seed) into one fan-out so short TDelay
   // points do not leave workers idle while long ones finish. Each job
   // carries its point's miner config — it is part of the cache key, so a
@@ -175,14 +170,12 @@ std::vector<SweepPoint> tdelay_sweep(const ospf::BehaviorProfile& profile,
     }
   }
 
-  const auto store = open_store(base.cache_dir);
   // Per-scenario integer partials (cache::SweepStats); accumulated per
   // sweep point in canonical order, so integer totals (and the ratios
   // derived from them) match the serial nest bit-for-bit whether each
   // partial was computed or replayed from the cache.
   auto entries = run_cached(
-      jobs, base.jobs, store.get(), cache::PayloadKind::kSweepStats,
-      scheme.name,
+      jobs, base, cache::PayloadKind::kSweepStats, scheme.name,
       [&](const CachedJob& job) {
         obs::Span scenario_span("scenario", job.label);
         const mining::CausalMiner miner(job.miner);
@@ -206,8 +199,7 @@ std::vector<SweepPoint> tdelay_sweep(const ospf::BehaviorProfile& profile,
         entry.sweep.unobserved_cells = cells.unobserved;
         entry.sweep.spurious_cells = cells.spurious;
         return entry;
-      },
-      exec, base.record);
+      });
 
   const std::size_t per_point = base.topologies.size() * base.seeds.size();
   std::vector<SweepPoint> out;
@@ -246,7 +238,7 @@ std::vector<ExtensivenessPoint> topology_extensiveness(
   auto jobs = scenario_jobs(config, profile.name, [&](Scenario& s) {
     s.ospf_profile = profile;
   });
-  auto sets = mine_jobs(jobs, config, scheme, nullptr);
+  auto sets = mine_jobs(jobs, config, scheme);
 
   mining::RelationSet cumulative;
   std::vector<ExtensivenessPoint> out;

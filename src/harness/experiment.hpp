@@ -18,6 +18,10 @@
 #include "harness/scenario.hpp"
 #include "mining/miner.hpp"
 
+namespace nidkit::cache {
+class Store;
+}  // namespace nidkit::cache
+
 namespace nidkit::obs {
 class RunRecord;
 }  // namespace nidkit::obs
@@ -34,48 +38,48 @@ struct ExperimentConfig {
   /// the matrices in attribution noise.
   double link_loss = 0.002;
   SimDuration duration = 180s;
-  SimDuration miner_horizon = 5s;
-  double window_factor = 2.0;
   /// Link-churn schedule (the chaos workload), copied into every scenario.
   /// Triage shrinks this list event by event; the audit default matches
   /// Scenario's.
   std::vector<SimTime> churn_times = {60s, 110s};
+
+  // The executor context: how scenarios run and where their results go,
+  // never what they compute. Content-addressed keys cover every knob that
+  // can change a result, so these four are exempt from the scenario_for
+  // copy-through. Every fan-out reads them in run_cached (cached_fanout.hpp).
+
   /// Worker threads for fanning out (topology, seed, implementation)
   /// scenarios. 0 = one per CPU this process may run on (its affinity
   /// mask), 1 = the serial reference path. Results are bit-identical for
   /// every value (see parallel.hpp).
   std::size_t jobs = 0;
-  /// Directory of the persistent scenario-result cache (see cache::Store).
-  /// Empty — the default — disables caching. Executor-level knob like
-  /// `jobs`, exempt from the scenario_for copy-through: the cache location
-  /// cannot change what a scenario computes (content-addressed keys cover
-  /// every knob that can), only whether it is recomputed.
-  std::string cache_dir;
+  /// The open scenario-result cache (see cache::Store). Null — the
+  /// default — disables caching.
+  cache::Store* store = nullptr;
   /// Where the run folds every scenario's metrics and coverage (see
-  /// obs::RunRecord), in canonical job order. Null — the default — folds
-  /// nothing. Executor-level like `jobs`, exempt from the scenario_for
-  /// copy-through: recording cannot change what a scenario computes.
+  /// obs::RunRecord), in canonical job order. Null folds nothing.
   obs::RunRecord* record = nullptr;
+  /// Where every fan-out adds its worker count, task count, wall time and
+  /// cache counts. Null counts nothing.
+  ExecReport* exec = nullptr;
 
+  /// The paper's miner (window 2 x TDelay, 5 s horizon) at this TDelay.
   mining::MinerConfig miner_config() const {
     mining::MinerConfig m;
     m.tdelay = tdelay;
-    m.window_factor = window_factor;
-    m.horizon = miner_horizon;
     return m;
   }
 
   // Copy-through contract: every *per-scenario* knob of this struct is
   // copied into the Scenario here. The binding names every field, so a new
   // one fails to compile until it is copied or named as exempt: the
-  // callers walk `topologies` and `seeds`, the miner fields reach the key
-  // through miner_config(), and `jobs`, `cache_dir` and `record` are
-  // executor-level. The copied set is pinned by
+  // callers walk `topologies` and `seeds`, `tdelay` also reaches the key
+  // through miner_config(), and the executor context (`jobs`, `store`,
+  // `record`, `exec`) is exempt. The copied set is pinned by
   // Config.ScenarioForCopiesExperimentKnobs.
   Scenario scenario_for(const topo::Spec& spec, std::uint64_t seed) const {
     const auto& [topologies, seeds, tdelay, link_jitter, link_loss, duration,
-                 miner_horizon, window_factor, churn_times, jobs, cache_dir,
-                 record] = *this;
+                 churn_times, jobs, store, record, exec] = *this;
     Scenario s;
     s.topology = spec;
     s.tdelay = tdelay;
@@ -92,18 +96,15 @@ struct ExperimentConfig {
 
 /// Mines one OSPF implementation: runs every (topology, seed) scenario —
 /// fanned out over config.jobs workers — mines each trace, and unions the
-/// per-scenario sets in canonical (topology, seed) order. When `exec` is
-/// non-null, per-scenario wall times accumulate into it.
+/// per-scenario sets in canonical (topology, seed) order.
 mining::RelationSet mine_ospf(const ospf::BehaviorProfile& profile,
                               const ExperimentConfig& config,
-                              const mining::KeyScheme& scheme,
-                              ExecReport* exec = nullptr);
+                              const mining::KeyScheme& scheme);
 
 /// Same for a RIP variant.
 mining::RelationSet mine_rip(const rip::RipProfile& profile,
                              const ExperimentConfig& config,
-                             const mining::KeyScheme& scheme,
-                             ExecReport* exec = nullptr);
+                             const mining::KeyScheme& scheme);
 
 /// Full audit: mine every implementation, compare pairwise. All
 /// (implementation, topology, seed) scenarios share one fan-out, so the
@@ -113,10 +114,6 @@ struct AuditResult {
   std::vector<std::string> names;
   std::map<std::string, mining::RelationSet> by_impl;
   std::vector<detect::Discrepancy> discrepancies;
-  /// Execution telemetry (worker count, per-scenario wall times, cache
-  /// counts). Nondeterministic by nature — kept out of the report JSON;
-  /// cli --stats-out writes it to its own file.
-  ExecReport exec;
 
   std::vector<detect::NamedRelations> named() const;
 };
@@ -146,8 +143,7 @@ struct SweepPoint {
 std::vector<SweepPoint> tdelay_sweep(const ospf::BehaviorProfile& profile,
                                      const ExperimentConfig& base,
                                      const std::vector<SimDuration>& tdelays,
-                                     const mining::KeyScheme& scheme,
-                                     ExecReport* exec = nullptr);
+                                     const mining::KeyScheme& scheme);
 
 /// E4: cumulative relationship count as topologies are added one by one.
 struct ExtensivenessPoint {

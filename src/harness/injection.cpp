@@ -34,6 +34,11 @@ bool injection_supports(const std::string& s) {
 
 namespace {
 
+constexpr SimDuration kProbeTdelay = 900ms;
+/// Responses later than this after the injection are not attributed.
+constexpr SimDuration kObserveWindow = 7s;
+constexpr std::uint64_t kProbeSeed = 7;
+
 /// inject_and_observe's probe, on the caller's fresh simulator and
 /// network.
 InjectionOutcome probe(const InjectionConfig& config, netsim::Simulator& sim,
@@ -47,7 +52,7 @@ InjectionOutcome probe(const InjectionConfig& config, netsim::Simulator& sim,
   const netsim::NodeId prober_node = net.add_node("prober");
   const netsim::NodeId target_node = net.add_node("target");
   const netsim::SegmentId link = net.add_p2p(prober_node, target_node);
-  net.fault(link).delay = config.tdelay;
+  net.fault(link).delay = kProbeTdelay;
 
   trace::TraceLog log;
   log.attach(net);
@@ -57,12 +62,12 @@ InjectionOutcome probe(const InjectionConfig& config, netsim::Simulator& sim,
   ospf::RouterConfig prober_cfg;
   prober_cfg.router_id = RouterId{9, 9, 9, 9};
   prober_cfg.profile = ospf::strict_profile();
-  ospf::Router prober(net, prober_node, prober_cfg, config.seed * 3 + 1);
+  ospf::Router prober(net, prober_node, prober_cfg, kProbeSeed * 3 + 1);
 
   ospf::RouterConfig target_cfg;
   target_cfg.router_id = RouterId{1, 1, 1, 1};
   target_cfg.profile = config.target_profile;
-  ospf::Router target(net, target_node, target_cfg, config.seed * 3 + 2);
+  ospf::Router target(net, target_node, target_cfg, kProbeSeed * 3 + 2);
 
   prober.start();
   target.start();
@@ -145,7 +150,7 @@ InjectionOutcome probe(const InjectionConfig& config, netsim::Simulator& sim,
   net.send(prober_node, 0, std::move(frame));
   outcome.injected = true;
 
-  sim.run_until(injected_at + config.observe_window);
+  sim.run_until(injected_at + kObserveWindow);
 
   // ---- Classify everything the prober received inside the window.
   for (const auto& rec : log.records()) {
@@ -168,20 +173,14 @@ InjectionOutcome probe(const InjectionConfig& config, netsim::Simulator& sim,
 
 InjectionOutcome inject_and_observe(const InjectionConfig& config) {
   netsim::Simulator sim;
-  netsim::Network net(sim, config.seed);
+  netsim::Network net(sim, kProbeSeed);
   InjectionOutcome outcome = probe(config, sim, net);
   // After every return path of the probe, even the early ones.
   count_simulation(sim, net);
   return outcome;
 }
 
-std::string stimulus_for_cell(const mining::RelationCell& cell,
-                              mining::RelationDirection direction) {
-  // The stimulus of a send->recv relationship is what the flagged
-  // implementation *sends*; probing means synthesizing that packet toward
-  // the other implementation. recv->send cells invert the roles: the
-  // stimulus is what the implementation received — also what we inject.
-  (void)direction;
+std::string stimulus_for_cell(const mining::RelationCell& cell) {
   const std::string& s = cell.stimulus;
   const bool gtsn_response = cell.response.find("+gtSN") != std::string::npos;
   if (s == "LSU" && gtsn_response) return "LSU-stale";

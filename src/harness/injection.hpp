@@ -46,16 +46,14 @@ std::string injection_canonical_stimulus(const std::string& stimulus_label);
 
 bool injection_supports(const std::string& stimulus_label);
 
+/// One probe: the prober and the target share a 900 ms (TDelay) link,
+/// and responses count for 7 s after the injection (the miner's 2 x
+/// TDelay threshold plus its 5 s horizon).
 struct InjectionConfig {
   ospf::BehaviorProfile target_profile;
   std::string stimulus;
-  SimDuration tdelay = 900ms;
-  /// Observation window after injection; responses later than this are
-  /// not attributed (mirrors the miner's threshold + horizon).
-  SimDuration observe_window = 7s;
   /// When to inject; must leave room for adjacency establishment.
   SimTime inject_at = 60s;
-  std::uint64_t seed = 7;
 };
 
 struct InjectionOutcome {
@@ -68,12 +66,14 @@ struct InjectionOutcome {
   bool saw(const std::string& label) const { return responses.count(label); }
 };
 
-/// Runs the probe. Deterministic in (config, seed).
+/// Runs the probe. Deterministic in `config`.
 InjectionOutcome inject_and_observe(const InjectionConfig& config);
 
 /// Picks the injection stimulus for a discrepancy cell, or empty if the
-/// class cannot be synthesized in a 2-router probe.
-std::string stimulus_for_cell(const mining::RelationCell& cell,
-                              mining::RelationDirection direction);
+/// class cannot be synthesized in a 2-router probe. Both directions map
+/// the same way: a send->recv cell's stimulus is what the flagged
+/// implementation sends, a recv->send cell's what it received, and either
+/// way the probe injects that packet.
+std::string stimulus_for_cell(const mining::RelationCell& cell);
 
 }  // namespace nidkit::harness

@@ -16,25 +16,13 @@ std::size_t worker_count(std::size_t jobs) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-void ExecReport::accumulate(const ExecReport& other) {
-  jobs = std::max(jobs, other.jobs);
-  tasks_run += other.tasks_run;
-  wall_ms += other.wall_ms;
-  cache_enabled = cache_enabled || other.cache_enabled;
-  cache_hits += other.cache_hits;
-  cache_pack_hits += other.cache_pack_hits;
-  cache_misses += other.cache_misses;
-  cache_dedup += other.cache_dedup;
-}
-
 std::string ExecReport::to_json() const {
   std::ostringstream os;
   os << "{\"jobs\":" << jobs << ",\"tasks_run\":" << tasks_run
      << ",\"wall_ms\":" << wall_ms;
   if (cache_enabled) {
     os << ",\"cache\":{\"hits\":" << cache_hits << ",\"pack_hits\":"
-       << cache_pack_hits << ",\"misses\":" << cache_misses
-       << ",\"in_flight_dedup\":" << cache_dedup << "}";
+       << cache_pack_hits << ",\"misses\":" << cache_misses << "}";
   }
   os << "}";
   return os.str();

@@ -29,9 +29,10 @@
 
 namespace nidkit::harness {
 
-/// Execution telemetry for a fan-out (or several, via accumulate()).
-/// Everything here is observability data: it never feeds back into mined
-/// relations, so emitting it cannot perturb determinism.
+/// Execution telemetry for every fan-out of one command (see
+/// ExperimentConfig::exec). Everything here is observability data: it
+/// never feeds back into mined relations, so emitting it cannot perturb
+/// determinism.
 struct ExecReport {
   std::size_t jobs = 1;              ///< worker count used
   std::uint64_t tasks_run = 0;       ///< scenarios executed
@@ -46,17 +47,9 @@ struct ExecReport {
   /// store put earlier in the run.
   std::uint64_t cache_pack_hits = 0;
   std::uint64_t cache_misses = 0;  ///< scenarios simulated and stored
-  /// Scenarios whose key duplicated an earlier scenario of the same
-  /// fan-out: computed (or fetched) once, fanned in to every duplicate.
-  std::uint64_t cache_dedup = 0;
-
-  /// Folds another fan-out's telemetry into this one (counts and wall
-  /// times add; jobs takes the max).
-  void accumulate(const ExecReport& other);
 
   /// {"jobs":N,"tasks_run":...,"wall_ms":...,
-  ///  "cache":{"hits":...,"pack_hits":...,"misses":...,
-  ///           "in_flight_dedup":...}}
+  ///  "cache":{"hits":...,"pack_hits":...,"misses":...}}
   /// The cache object appears only when cache_enabled. This is the
   /// --stats-out file; what the run simulated is in the obs::RunRecord,
   /// and each scenario's wall time is its `scenario` span in --trace-out.

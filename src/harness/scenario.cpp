@@ -75,7 +75,10 @@ ScenarioResult run_scenario(const Scenario& scenario, Workspace& ws) {
       routers.create(net, built.nodes[i], cfg, seeder.next());
     }
     // Every record carries the observing router's max neighbor FSM state
-    // (the state-conditioned key scheme reads it).
+    // (the state-conditioned key scheme reads it); trace load accepts the
+    // same range.
+    static_assert(static_cast<int>(ospf::NeighborState::kFull) ==
+                  trace::TraceLog::kMaxObserverState);
     log.set_prober([&routers](netsim::NodeId node) {
       return node < routers.size() ? routers[node].max_neighbor_state() : -1;
     });

@@ -17,7 +17,7 @@ namespace {
 /// audit's cached scenarios instead of re-simulating them.
 std::vector<mining::RelationSet> mine_per_seed(
     const ospf::BehaviorProfile& profile, const ExperimentConfig& config,
-    const mining::KeyScheme& scheme, ExecReport* exec) {
+    const mining::KeyScheme& scheme) {
   std::vector<CachedJob> jobs;
   for (const auto seed : config.seeds) {
     for (const auto& spec : config.topologies) {
@@ -30,9 +30,7 @@ std::vector<mining::RelationSet> mine_per_seed(
     }
   }
 
-  const auto store = open_store(config.cache_dir);
-  const auto entries =
-      simulate_and_mine(jobs, config, scheme, store.get(), exec);
+  const auto entries = simulate_and_mine(jobs, config, scheme);
 
   std::vector<mining::RelationSet> per_seed(config.seeds.size());
   std::size_t next = 0;
@@ -46,11 +44,11 @@ std::vector<mining::RelationSet> mine_per_seed(
 
 std::vector<CellStability> ospf_relation_stability(
     const ospf::BehaviorProfile& profile, const ExperimentConfig& config,
-    const mining::KeyScheme& scheme, ExecReport* exec) {
+    const mining::KeyScheme& scheme) {
   using Key = std::pair<mining::RelationDirection, mining::RelationCell>;
   std::map<Key, CellStability> acc;
 
-  for (const auto& set : mine_per_seed(profile, config, scheme, exec)) {
+  for (const auto& set : mine_per_seed(profile, config, scheme)) {
     for (const auto dir : {mining::RelationDirection::kSendToRecv,
                            mining::RelationDirection::kRecvToSend}) {
       for (const auto& [cell, stats] : set.cells(dir)) {

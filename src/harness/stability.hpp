@@ -30,12 +30,10 @@ struct CellStability {
 };
 
 /// Mines each seed of `config` separately (union over topologies within a
-/// seed) and reports per-cell seed coverage, most stable first. When
-/// `exec` is non-null, executor and result-cache telemetry accumulate
-/// into it (what the CLI's --stats-out writes).
+/// seed) and reports per-cell seed coverage, most stable first.
 std::vector<CellStability> ospf_relation_stability(
     const ospf::BehaviorProfile& profile, const ExperimentConfig& config,
-    const mining::KeyScheme& scheme, ExecReport* exec = nullptr);
+    const mining::KeyScheme& scheme);
 
 /// The union relation set restricted to cells observed in at least
 /// `min_fraction` of seeds. Feeding both implementations' stable sets to

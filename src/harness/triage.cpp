@@ -119,15 +119,9 @@ TriageResult triage_ospf(const std::vector<ospf::BehaviorProfile>& profiles,
       audit_ospf(profiles, config.experiment, config.scheme);
   result.impl_names = audit.names;
   result.flagged = audit.discrepancies.size();
-  result.exec.accumulate(audit.exec);
 
   std::map<std::string, ospf::BehaviorProfile> by_name;
   for (const auto& p : profiles) by_name.emplace(p.name, p);
-
-  // Reproduction probes flow through the same cache the audit used: same
-  // payload kind, same scheme id, and — for unshrunk candidates — the very
-  // keys the audit just stored, so the find phase is usually all hits.
-  const auto store = open_store(config.experiment.cache_dir);
 
   // One probe = one candidate scenario run under *both* implementations of
   // a discrepancy and mined; the verdict is "cell present in the
@@ -151,8 +145,11 @@ TriageResult triage_ospf(const std::vector<ospf::BehaviorProfile>& profiles,
         jobs.push_back(CachedJob{std::move(s), std::move(label), miner});
       }
     }
-    const auto entries = simulate_and_mine(
-        jobs, config.experiment, config.scheme, store.get(), &result.exec);
+    // Probes run in the audit's executor context: same store, same payload
+    // kind, same scheme id and — for unshrunk candidates — the very keys
+    // the audit just put, so the find phase is usually all hits.
+    const auto entries =
+        simulate_and_mine(jobs, config.experiment, config.scheme);
     std::vector<bool> verdicts;
     verdicts.reserve(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i)
@@ -239,7 +236,7 @@ TriageResult triage_ospf(const std::vector<ospf::BehaviorProfile>& profiles,
 
       // Phase 3: injection confirm.
       obs::Span inject_span("triage-inject", cell_label(d));
-      incident.stimulus = stimulus_for_cell(d.cell, d.direction);
+      incident.stimulus = stimulus_for_cell(d.cell);
       if (!incident.stimulus.empty()) {
         incident.outcome_present = inject(d.present_in, incident.stimulus);
         incident.outcome_absent = inject(d.absent_in, incident.stimulus);

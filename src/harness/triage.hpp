@@ -36,9 +36,10 @@
 namespace nidkit::harness {
 
 struct TriageConfig {
-  /// Audit matrix and executor knobs (topologies, seeds, tdelay, churn
-  /// schedule, jobs, cache_dir...). The repro search candidates are
-  /// exactly this config's (topology, seed) scenarios.
+  /// Audit matrix and executor context (topologies, seeds, tdelay, churn
+  /// schedule, jobs, store...). The audit and every reproduction probe
+  /// share the context. The repro search candidates are exactly this
+  /// config's (topology, seed) scenarios.
   ExperimentConfig experiment;
   /// Key scheme the audit mines under. The gtsn scheme is the default
   /// triage granularity: its cells map directly onto injection stimuli.
@@ -91,7 +92,6 @@ struct TriageResult {
   /// keep canonical audit flag order.
   std::vector<IncidentReport> incidents;
   std::size_t total_probes = 0;  ///< across all incidents
-  ExecReport exec;  ///< wall-clock/cache telemetry (audit + all probes)
 };
 
 /// Runs audit → triage for two or more OSPF implementations.

@@ -44,20 +44,7 @@ void fold_stats(const RelationStats& stats, RelationStats& into) {
 void RelationSet::add(RelationDirection dir, const RelationCell& cell,
                       SimTime when, std::size_t stimulus_index,
                       std::size_t response_index) {
-  auto& t = table(dir);
-  auto it = lower_bound_cell(t, cell);
-  if (it == t.end() || it->first != cell) {
-    it = t.emplace(it, cell, RelationStats{});
-    it->second.first_seen = when;
-    it->second.example_stimulus = stimulus_index;
-    it->second.example_response = response_index;
-  } else if (earlier_evidence(when, stimulus_index, response_index,
-                              it->second)) {
-    it->second.first_seen = when;
-    it->second.example_stimulus = stimulus_index;
-    it->second.example_response = response_index;
-  }
-  ++it->second.count;
+  add_stats(dir, cell, RelationStats{1, when, stimulus_index, response_index});
 }
 
 bool RelationSet::has(RelationDirection dir, const std::string& stimulus,

@@ -164,9 +164,6 @@ class Router {
     return route_cache_.get(lsdb_, config_.router_id, now());
   }
 
-  /// Number of actual SPF kernel runs behind routes() (cache misses).
-  std::uint64_t spf_runs() const { return route_cache_.recomputes(); }
-
   /// Originates an AS-external LSA (the router acts as an ASBR). Used by
   /// workloads to create LSDB churn.
   void originate_external(Ipv4Addr prefix, Ipv4Addr mask,

@@ -472,6 +472,10 @@ Result<TraceLog> TraceLog::load(std::istream& is) {
       return bad("node id " + std::to_string(r.node) + " out of range");
     if (protocol < 0 || protocol > 255)
       return bad("protocol " + std::to_string(protocol) + " out of range");
+    // The state scheme labels any other value as a state no router has.
+    if (r.observer_state < -1 || r.observer_state > kMaxObserverState)
+      return bad("observer state " + std::to_string(r.observer_state) +
+                 " out of range");
     r.direction = dir == 'S' ? netsim::Direction::kSend
                              : netsim::Direction::kRecv;
     r.src = Ipv4Addr{src};

@@ -217,12 +217,16 @@ class TraceLog {
   /// the tap's own digest path; bytes that ospf::decode or rip::decode
   /// rejects get no digest, so a hand-edited trace is re-validated. A
   /// record earlier than the one before it, with a node id of kMaxNodes or
-  /// more, or with a protocol number above 255 fails the whole load.
+  /// more, with a protocol number above 255, or with an observer state
+  /// outside -1..kMaxObserverState fails the whole load.
   static Result<TraceLog> load(std::istream& is);
 
   /// load()'s bound on node ids, far above any simulated network's node
   /// count.
   static constexpr netsim::NodeId kMaxNodes = 65'536;
+  /// The highest observer state a prober reports: an OSPF router's
+  /// highest neighbor state, ospf::NeighborState::kFull.
+  static constexpr int kMaxObserverState = 6;
 
   /// Forgets every record and rewinds the arena; the log is immediately
   /// reusable and refills into the pages it already owns.

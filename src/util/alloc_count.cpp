@@ -6,18 +6,15 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc{};
 }
 
 void* counted_alloc(std::size_t size, std::align_val_t align) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_bytes.fetch_add(size, std::memory_order_relaxed);
   const std::size_t a = static_cast<std::size_t>(align);
   // aligned_alloc requires size to be a multiple of the alignment.
   const std::size_t rounded = (size + a - 1) / a * a;
@@ -30,9 +27,6 @@ namespace nidkit::util {
 std::uint64_t allocation_count() noexcept {
   return g_allocs.load(std::memory_order_relaxed);
 }
-std::uint64_t allocated_bytes() noexcept {
-  return g_bytes.load(std::memory_order_relaxed);
-}
 }  // namespace nidkit::util
 
 // Replaceable global allocation functions ([new.delete]): defining them in
@@ -41,7 +35,6 @@ void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {

@@ -17,7 +17,4 @@ namespace nidkit::util {
 /// Only meaningful in binaries linked against nidkit_alloc_count.
 std::uint64_t allocation_count() noexcept;
 
-/// Total bytes requested from the counting operator new.
-std::uint64_t allocated_bytes() noexcept;
-
 }  // namespace nidkit::util

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 
+#include "cache/store.hpp"
 #include "cov/cov.hpp"
 #include "harness/experiment.hpp"
 #include "obs/obs.hpp"
@@ -39,7 +41,7 @@ class CovDeterminismTest : public ::testing::Test {
     c.seeds = {1, 2};
     c.duration = 90s;
     c.jobs = jobs;
-    if (cached) c.cache_dir = dir_;
+    if (cached) c.store = &store_.emplace(dir_);
     return c;
   }
 
@@ -48,14 +50,16 @@ class CovDeterminismTest : public ::testing::Test {
   std::string audit_cov_json(std::size_t jobs, bool cached,
                              ExecReport* exec = nullptr) {
     record_ = {};
-    const auto audit =
-        audit_ospf({ospf::frr_profile(), ospf::bird_profile()},
-                   config(jobs, cached), mining::ospf_type_scheme());
-    if (exec) *exec = audit.exec;
+    auto c = config(jobs, cached);
+    c.exec = exec;
+    audit_ospf({ospf::frr_profile(), ospf::bird_profile()}, c,
+               mining::ospf_type_scheme());
     return record_.cov_json();
   }
 
   std::string dir_;
+  /// Reopened for each cached run, as each nidt command opens its own.
+  std::optional<cache::Store> store_;
   obs::RunRecord record_;
 };
 

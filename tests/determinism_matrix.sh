@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Determinism matrix: every deterministic nidt output is byte-identical
 # across worker counts (--jobs 1/2/8), cache temperature (no cache, cold,
-# warm from the cold run's own segment, warm after compact) and telemetry
-# flags. Each lap writes --metrics-out and --stats-out; its report is
-# cmp'd against a --no-cache --jobs 1 reference run without telemetry
-# flags, and the "sim" and "cov" sections of its metrics file against its
-# family's first lap. An audit lap's "cov" section also equals the one
-# `nidt coverage --format json` prints for the same flags.
+# warm from the cold run's own segment and, for audit, warm after
+# compact) and telemetry flags. Each lap writes --metrics-out and
+# --stats-out; its report is cmp'd against a --no-cache --jobs 1
+# reference run without telemetry flags, and the "sim" and "cov" sections
+# of its metrics file against its family's first lap. An audit lap's
+# "cov" section also equals the one `nidt coverage --format json` prints
+# for the same flags.
 #
 # usage: tests/determinism_matrix.sh path/to/nidt   (ctest runs it)
 set -euo pipefail
@@ -66,13 +67,16 @@ absent '"valid":false' ls.json
 "$NIDT" cache ls --cache-dir ca > ls.txt
 grep -q '^0 entries' ls.txt
 
-# Sweep and stability at jobs 1/2/8.
+# Sweep and stability at jobs 1/2/8, then cold and warm on a cache dir.
 for cmd in sweep stability; do
   "$NIDT" "$cmd" --impl frr --no-cache --jobs 1 > "$cmd.ref"
   lap "${cmd}2" "$cmd" --impl frr --jobs 2
   lap "${cmd}8" "$cmd" --impl frr --jobs 8
-  same "$cmd.ref" "${cmd}2.out" "${cmd}8.out"
-  same "${cmd}2.sim" "${cmd}8.sim"; same "${cmd}2.cov" "${cmd}8.cov"
+  lap "${cmd}c" "$cmd" --impl frr --jobs 2 --cache-dir "c$cmd"
+  lap "${cmd}w" "$cmd" --impl frr --jobs 8 --cache-dir "c$cmd"
+  same "$cmd.ref" "${cmd}"{2,8,c,w}.out
+  same "${cmd}2.sim" "${cmd}"{8,c,w}.sim; same "${cmd}2.cov" "${cmd}"{8,c,w}.cov
+  warm "${cmd}w.s"
 done
 
 # Coverage subcommand.

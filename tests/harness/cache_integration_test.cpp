@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 
+#include "cache/store.hpp"
 #include "detect/json.hpp"
 #include "harness/experiment.hpp"
 #include "harness/stability.hpp"
@@ -28,14 +30,18 @@ class CacheIntegrationTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  ExperimentConfig config(std::size_t jobs, bool cached) const {
+  /// The test grid counting into `exec`; `cached` attaches a store freshly
+  /// opened on the test's directory, as each nidt command opens one.
+  ExperimentConfig config(std::size_t jobs, bool cached,
+                          ExecReport* exec = nullptr) {
     ExperimentConfig c;
     c.topologies = {topo::Spec{topo::Kind::kLinear, 2},
                     topo::Spec{topo::Kind::kMesh, 3}};
     c.seeds = {1, 2};
     c.duration = 90s;
     c.jobs = jobs;
-    if (cached) c.cache_dir = dir_;
+    c.exec = exec;
+    if (cached) c.store = &store_.emplace(dir_);
     return c;
   }
 
@@ -44,25 +50,28 @@ class CacheIntegrationTest : public ::testing::Test {
   }
 
   std::string dir_;
+  std::optional<cache::Store> store_;
 };
 
 TEST_F(CacheIntegrationTest, WarmAuditIsByteIdenticalAndAllHits) {
   const auto profiles = {ospf::frr_profile(), ospf::bird_profile()};
-  const auto cold =
-      audit_ospf(profiles, config(1, true), mining::ospf_type_scheme());
-  EXPECT_EQ(cold.exec.cache_hits, 0u);
-  EXPECT_EQ(cold.exec.cache_misses, 8u);  // 2 impls x 2 topos x 2 seeds
+  ExecReport cold_exec, warm_exec, uncached_exec;
+  const auto cold = audit_ospf(profiles, config(1, true, &cold_exec),
+                               mining::ospf_type_scheme());
+  EXPECT_EQ(cold_exec.cache_hits, 0u);
+  EXPECT_EQ(cold_exec.cache_misses, 8u);  // 2 impls x 2 topos x 2 seeds
 
-  const auto warm =
-      audit_ospf(profiles, config(1, true), mining::ospf_type_scheme());
-  EXPECT_EQ(warm.exec.cache_hits, 8u);
-  EXPECT_EQ(warm.exec.cache_misses, 0u);
-  EXPECT_EQ(warm.exec.tasks_run, 0u);  // nothing was simulated
+  const auto warm = audit_ospf(profiles, config(1, true, &warm_exec),
+                               mining::ospf_type_scheme());
+  EXPECT_EQ(warm_exec.cache_hits, 8u);
+  EXPECT_EQ(warm_exec.cache_pack_hits, 8u);  // read from the cold segment
+  EXPECT_EQ(warm_exec.cache_misses, 0u);
+  EXPECT_EQ(warm_exec.tasks_run, 0u);  // nothing was simulated
 
-  const auto uncached =
-      audit_ospf(profiles, config(1, false), mining::ospf_type_scheme());
-  EXPECT_EQ(uncached.exec.cache_hits, 0u);
-  EXPECT_EQ(uncached.exec.cache_misses, 0u);  // cache off, not missing
+  const auto uncached = audit_ospf(profiles, config(1, false, &uncached_exec),
+                                   mining::ospf_type_scheme());
+  EXPECT_EQ(uncached_exec.cache_hits, 0u);
+  EXPECT_EQ(uncached_exec.cache_misses, 0u);  // cache off, not missing
 
   EXPECT_EQ(report_json(cold), report_json(warm));
   EXPECT_EQ(report_json(cold), report_json(uncached));
@@ -80,22 +89,16 @@ TEST_F(CacheIntegrationTest, WorkerCountNeverChangesTheReport) {
   }
 }
 
-TEST_F(CacheIntegrationTest, DuplicateSeedsComputeOnce) {
+TEST_F(CacheIntegrationTest, DuplicateSeedsMatchTheUncachedRun) {
   auto c = config(2, true);
   c.seeds = {1, 1, 1};  // three identical keys per (impl, topo)
-  ExecReport exec;
   const auto set = mine_ospf(ospf::frr_profile(), c,
-                             mining::ospf_type_scheme(), &exec);
+                             mining::ospf_type_scheme());
   EXPECT_GT(set.size(), 0u);
-  // 2 topologies x 3 seeds = 6 jobs; each topology's key is computed once
-  // and fanned in to the two duplicates.
-  EXPECT_EQ(exec.cache_misses, 2u);
-  EXPECT_EQ(exec.cache_dedup, 4u);
-  EXPECT_EQ(exec.tasks_run, 2u);
 
-  // The dedup must be invisible: identical to the uncached run.
+  // Each duplicate is computed and stored again, with the same result.
   auto plain = c;
-  plain.cache_dir.clear();
+  plain.store = nullptr;
   const auto uncached =
       mine_ospf(ospf::frr_profile(), plain, mining::ospf_type_scheme());
   EXPECT_EQ(set.size(), uncached.size());
@@ -110,16 +113,18 @@ TEST_F(CacheIntegrationTest, DuplicateSeedsComputeOnce) {
 }
 
 TEST_F(CacheIntegrationTest, SweepWarmRunMatchesColdExactly) {
-  auto c = config(2, true);
-  c.seeds = {1};
   const std::vector<SimDuration> tds = {0ms, 300ms, 900ms};
+  const auto sweep = [&](ExecReport* exec) {
+    auto c = config(2, true, exec);
+    c.seeds = {1};
+    return tdelay_sweep(ospf::frr_profile(), c, tds,
+                        mining::ospf_type_scheme());
+  };
   ExecReport cold_exec, warm_exec;
-  const auto cold = tdelay_sweep(ospf::frr_profile(), c, tds,
-                                 mining::ospf_type_scheme(), &cold_exec);
-  const auto warm = tdelay_sweep(ospf::frr_profile(), c, tds,
-                                 mining::ospf_type_scheme(), &warm_exec);
+  const auto cold = sweep(&cold_exec);
+  const auto warm = sweep(&warm_exec);
   EXPECT_EQ(cold_exec.cache_misses, 6u);  // 3 points x 2 topos
-  EXPECT_EQ(warm_exec.cache_hits, 6u);
+  EXPECT_EQ(warm_exec.cache_pack_hits, 6u);
   ASSERT_EQ(cold.size(), warm.size());
   for (std::size_t i = 0; i < cold.size(); ++i) {
     EXPECT_EQ(cold[i].tdelay, warm[i].tdelay);
@@ -135,32 +140,29 @@ TEST_F(CacheIntegrationTest, SweepWarmRunMatchesColdExactly) {
 
 TEST_F(CacheIntegrationTest, ReportJsonCarriesCacheObjectOnlyWhenCached) {
   const auto profiles = {ospf::frr_profile(), ospf::bird_profile()};
-  const auto cached =
-      audit_ospf(profiles, config(2, true), mining::ospf_type_scheme());
-  EXPECT_TRUE(cached.exec.cache_enabled);
-  const auto cached_json = cached.exec.to_json();
+  ExecReport cached, plain;
+  audit_ospf(profiles, config(2, true, &cached), mining::ospf_type_scheme());
+  EXPECT_TRUE(cached.cache_enabled);
+  const auto cached_json = cached.to_json();
   EXPECT_NE(cached_json.find("\"cache\":{"), std::string::npos);
-  EXPECT_NE(cached_json.find("\"misses\":8"), std::string::npos);
+  EXPECT_NE(cached_json.find("\"misses\":8}"), std::string::npos);
 
-  const auto plain =
-      audit_ospf(profiles, config(2, false), mining::ospf_type_scheme());
-  EXPECT_FALSE(plain.exec.cache_enabled);
-  EXPECT_EQ(plain.exec.to_json().find("\"cache\""), std::string::npos);
+  audit_ospf(profiles, config(2, false, &plain), mining::ospf_type_scheme());
+  EXPECT_FALSE(plain.cache_enabled);
+  EXPECT_EQ(plain.to_json().find("\"cache\""), std::string::npos);
 }
 
 TEST_F(CacheIntegrationTest, StabilityReusesAuditEntries) {
   // Stability over the same (profile, config, scheme) keys as a prior
   // audit replays the audit's cached scenarios instead of re-simulating.
-  auto c = config(1, true);
   const auto profiles = {ospf::frr_profile(), ospf::bird_profile()};
-  audit_ospf(profiles, c, mining::ospf_type_scheme());
+  audit_ospf(profiles, config(1, true), mining::ospf_type_scheme());
 
   ExecReport exec;
-  const auto report =
-      ospf_relation_stability(ospf::frr_profile(), c,
-                              mining::ospf_type_scheme(), &exec);
+  const auto report = ospf_relation_stability(
+      ospf::frr_profile(), config(1, true, &exec), mining::ospf_type_scheme());
   EXPECT_FALSE(report.empty());
-  EXPECT_EQ(exec.cache_hits, 4u);  // frr's 2 topos x 2 seeds, all cached
+  EXPECT_EQ(exec.cache_pack_hits, 4u);  // frr's 2 topos x 2 seeds, all cached
   EXPECT_EQ(exec.cache_misses, 0u);
 }
 

@@ -13,13 +13,9 @@ using namespace std::chrono_literals;
 TEST(Config, MinerConfigMirrorsExperiment) {
   ExperimentConfig c;
   c.tdelay = 300ms;
-  c.window_factor = 2.5;
-  c.miner_horizon = 7s;
   const auto m = c.miner_config();
   EXPECT_EQ(m.tdelay, SimDuration{300ms});
-  EXPECT_DOUBLE_EQ(m.window_factor, 2.5);
-  EXPECT_EQ(m.horizon, SimDuration{7s});
-  EXPECT_EQ(m.threshold(), SimDuration{750ms});
+  EXPECT_EQ(m.threshold(), SimDuration{600ms});
 }
 
 TEST(Config, MinerThresholdScalesWithFactor) {
@@ -76,10 +72,13 @@ TEST(Config, JobsIsAnExecutorKnobNotAScenarioKnob) {
   // is half of the determinism contract (the other half is the canonical
   // merge order, pinned in parallel_executor_test.cpp).
   EXPECT_EQ(c.jobs, 0u);
-  // `record` is exempt from the copy-through for the same reason: where a
-  // run records cannot change what a scenario computes. Null by default,
-  // so a run folds nothing unless asked.
+  // The rest of the executor context (`store`, `record`, `exec`) is exempt
+  // from the copy-through for the same reason: where a run caches, records
+  // and counts cannot change what a scenario computes. Null by default, so
+  // a run does none of them unless asked.
   EXPECT_EQ(c.record, nullptr);
+  EXPECT_EQ(c.store, nullptr);
+  EXPECT_EQ(c.exec, nullptr);
   obs::RunRecord record;
   c.jobs = 8;
   c.record = &record;
@@ -98,14 +97,15 @@ TEST(Config, JobsIsAnExecutorKnobNotAScenarioKnob) {
 
 TEST(Config, PaperDefaultsMatchThePaper) {
   ExperimentConfig c;
+  const auto m = c.miner_config();
   EXPECT_EQ(c.tdelay, SimDuration{900ms});       // §3: TDelay = 900 ms
-  EXPECT_DOUBLE_EQ(c.window_factor, 2.0);        // §2: at least 2*TDelay
+  EXPECT_DOUBLE_EQ(m.window_factor, 2.0);        // §2: at least 2*TDelay
   ASSERT_EQ(c.topologies.size(), 4u);            // §2: four topologies
   EXPECT_EQ(c.topologies[0].name(), "linear-2");
   EXPECT_EQ(c.topologies[3].name(), "mesh-5");
   // Horizon below the retransmission timeout, per the paper's TDelay
   // upper-bound rule.
-  EXPECT_LE(c.miner_horizon, ospf::BehaviorProfile{}.rxmt_interval);
+  EXPECT_LE(m.horizon, ospf::BehaviorProfile{}.rxmt_interval);
 }
 
 TEST(Config, DefaultProfilesHaveRfcTimers) {

@@ -68,19 +68,18 @@ TEST(Injection, AliasInjectsLikeItsCanonicalButEchoesTheRequest) {
 
 TEST(Validation, StimulusForCellStaysWithinTheTables) {
   using mining::RelationCell;
-  const auto dir = mining::RelationDirection::kSendToRecv;
   // Every stimulus the cell mapper can emit must be injectable — a
   // mapper output outside the tables would silently degrade triage.
   for (const auto* stim : {"LSU", "LSAck", "LSR", "Hello", "DBD"}) {
-    const auto mapped = stimulus_for_cell(RelationCell{stim, "LSAck"}, dir);
+    const auto mapped = stimulus_for_cell(RelationCell{stim, "LSAck"});
     if (!mapped.empty()) {
       EXPECT_TRUE(injection_supports(mapped)) << mapped;
     }
   }
   EXPECT_TRUE(injection_supports(
-      stimulus_for_cell(RelationCell{"LSU", "LSAck+gtSN"}, dir)));
+      stimulus_for_cell(RelationCell{"LSU", "LSAck+gtSN"})));
   EXPECT_TRUE(injection_supports(
-      stimulus_for_cell(RelationCell{"LSAck", "LSAck+gtSN"}, dir)));
+      stimulus_for_cell(RelationCell{"LSAck", "LSAck+gtSN"})));
 }
 
 TEST(Injection, UnsupportedStimulusNotInjected) {
@@ -160,17 +159,16 @@ TEST(Injection, HelloKeepsAdjacencyQuiet) {
 
 TEST(Validation, StimulusForCellMapsRefinements) {
   using mining::RelationCell;
-  const auto dir = mining::RelationDirection::kSendToRecv;
-  EXPECT_EQ(stimulus_for_cell(RelationCell{"LSU", "LSAck+gtSN"}, dir),
+  EXPECT_EQ(stimulus_for_cell(RelationCell{"LSU", "LSAck+gtSN"}),
             "LSU-stale");
-  EXPECT_EQ(stimulus_for_cell(RelationCell{"LSAck", "LSAck+gtSN"}, dir),
+  EXPECT_EQ(stimulus_for_cell(RelationCell{"LSAck", "LSAck+gtSN"}),
             "LSAck+gtSN");
-  EXPECT_EQ(stimulus_for_cell(RelationCell{"LSR", "LSU"}, dir), "LSR");
-  EXPECT_EQ(stimulus_for_cell(RelationCell{"Hello", "Hello"}, dir), "Hello");
+  EXPECT_EQ(stimulus_for_cell(RelationCell{"LSR", "LSU"}), "LSR");
+  EXPECT_EQ(stimulus_for_cell(RelationCell{"Hello", "Hello"}), "Hello");
   // State-conditioned labels strip to their base type.
-  EXPECT_EQ(stimulus_for_cell(RelationCell{"LSR@Loading", "LSU@Full"}, dir),
+  EXPECT_EQ(stimulus_for_cell(RelationCell{"LSR@Loading", "LSU@Full"}),
             "LSR");
-  EXPECT_EQ(stimulus_for_cell(RelationCell{"Bogus", "X"}, dir), "");
+  EXPECT_EQ(stimulus_for_cell(RelationCell{"Bogus", "X"}), "");
 }
 
 /// Probes both sides of `d` with its cell's stimulus and returns triage's
@@ -179,7 +177,7 @@ Confirmation probe_and_classify(const detect::Discrepancy& d,
                                 const ospf::BehaviorProfile& present,
                                 const ospf::BehaviorProfile& absent,
                                 std::string& reason) {
-  const auto stimulus = stimulus_for_cell(d.cell, d.direction);
+  const auto stimulus = stimulus_for_cell(d.cell);
   InjectionOutcome present_out, absent_out;
   if (!stimulus.empty()) {
     present_out = inject_and_observe(config_for(stimulus, present));
@@ -194,7 +192,7 @@ TEST(Validation, ConfirmsTheTable2Flag) {
   d.cell = {"LSU", "LSAck+gtSN"};
   d.present_in = "bird";
   d.absent_in = "frr";
-  EXPECT_EQ(stimulus_for_cell(d.cell, d.direction), "LSU-stale");
+  EXPECT_EQ(stimulus_for_cell(d.cell), "LSU-stale");
   std::string reason;
   EXPECT_EQ(probe_and_classify(d, ospf::bird_profile(), ospf::frr_profile(),
                                reason),

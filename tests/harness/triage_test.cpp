@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+
+#include "cache/store.hpp"
 
 namespace nidkit::harness {
 namespace {
@@ -270,18 +273,21 @@ class TriageEndToEnd : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  TriageConfig config(std::size_t jobs, bool cached) const {
+  /// `cached` attaches a store freshly opened on the test's directory,
+  /// as each nidt command opens one.
+  TriageConfig config(std::size_t jobs, bool cached) {
     TriageConfig tc;
     tc.experiment.topologies = {topo::Spec{topo::Kind::kLinear, 2},
                                 topo::Spec{topo::Kind::kMesh, 3}};
     tc.experiment.seeds = {1, 2};
     tc.experiment.duration = 90s;
     tc.experiment.jobs = jobs;
-    if (cached) tc.experiment.cache_dir = dir_;
+    if (cached) tc.experiment.store = &store_.emplace(dir_);
     return tc;
   }
 
   std::string dir_;
+  std::optional<cache::Store> store_;
 };
 
 TEST_F(TriageEndToEnd, ReportIsJobsAndCacheInvariant) {
@@ -294,6 +300,26 @@ TEST_F(TriageEndToEnd, ReportIsJobsAndCacheInvariant) {
   const auto warm = triage_report_json(triage_ospf(impls, config(4, true)));
   EXPECT_EQ(serial, cold);
   EXPECT_EQ(cold, warm);
+}
+
+TEST_F(TriageEndToEnd, OneReportCountsTheAuditAndEveryProbe) {
+  // The paper-defaults triage of frr and bird on a cold cache. Its audit
+  // and its probes share one store, so every hit is an entry the run put
+  // itself, and the run appends one segment.
+  ExecReport exec;
+  TriageConfig tc;
+  tc.experiment.store = &store_.emplace(dir_);
+  tc.experiment.exec = &exec;
+  triage_ospf({ospf::frr_profile(), ospf::bird_profile()}, tc);
+  EXPECT_TRUE(exec.cache_enabled);
+  EXPECT_EQ(exec.cache_hits, 126u);
+  EXPECT_EQ(exec.cache_pack_hits, 0u);
+  EXPECT_EQ(exec.cache_misses, 92u);
+  EXPECT_EQ(exec.tasks_run, 92u);  // the audit's 24 scenarios among them
+  std::size_t segments = 0;
+  for (const auto& file : fs::directory_iterator(dir_))
+    segments += file.path().extension() == cache::kSegmentExtension ? 1 : 0;
+  EXPECT_EQ(segments, 1u);
 }
 
 TEST_F(TriageEndToEnd, IncidentsRankedAndAccounted) {

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 
+#include "cache/store.hpp"
 #include "harness/experiment.hpp"
 #include "harness/injection.hpp"
 #include "obs/obs.hpp"
@@ -44,7 +46,7 @@ class ObsDeterminismTest : public ::testing::Test {
     c.seeds = {1, 2};
     c.duration = 90s;
     c.jobs = jobs;
-    if (cached) c.cache_dir = dir_;
+    if (cached) c.store = &store_.emplace(dir_);
     return c;
   }
 
@@ -53,14 +55,16 @@ class ObsDeterminismTest : public ::testing::Test {
   std::string audit_sim_json(std::size_t jobs, bool cached,
                              ExecReport* exec = nullptr) {
     record_ = {};
-    const auto audit =
-        audit_ospf({ospf::frr_profile(), ospf::bird_profile()},
-                   config(jobs, cached), mining::ospf_type_scheme());
-    if (exec) *exec = audit.exec;
+    auto c = config(jobs, cached);
+    c.exec = exec;
+    audit_ospf({ospf::frr_profile(), ospf::bird_profile()}, c,
+               mining::ospf_type_scheme());
     return record_.sim_json();
   }
 
   std::string dir_;
+  /// Reopened for each cached run, as each nidt command opens its own.
+  std::optional<cache::Store> store_;
   obs::RunRecord record_;
 };
 
@@ -133,7 +137,7 @@ TEST_F(ObsDeterminismTest, ProcessCountersAddEachSimulationOnce) {
   ExperimentConfig c;
   c.record = &record_;
   c.jobs = 4;
-  c.cache_dir = dir_;
+  c.store = &store_.emplace(dir_);
   const std::vector<ospf::BehaviorProfile> impls = {ospf::frr_profile(),
                                                     ospf::bird_profile()};
   audit_ospf(impls, c, mining::ospf_type_scheme());
@@ -150,6 +154,7 @@ TEST_F(ObsDeterminismTest, ProcessCountersAddEachSimulationOnce) {
 
   // A warm rerun replays every scenario from the store: nothing simulates.
   record_ = {};
+  c.store = &store_.emplace(dir_);
   audit_ospf(impls, c, mining::ospf_type_scheme());
   EXPECT_EQ(process(), cold);
 

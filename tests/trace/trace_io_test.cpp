@@ -190,6 +190,23 @@ TEST(TraceIo, RejectsProtocolsAbove255) {
   }
 }
 
+TEST(TraceIo, RejectsObserverStatesNoRouterHas) {
+  // 999 once mined under the state scheme as DBD@? -> DBD@?, and -5 as
+  // DBD@NoNbr, indistinguishable from an unprobed record.
+  const auto load = [](const std::string& state) {
+    std::stringstream buf("nidkit-trace v1 1\n0 0 0 S 1 2 89 1 0 " + state +
+                          " -\n");
+    return TraceLog::load(buf);
+  };
+  for (const char* state : {"999", "7", "-2"}) {
+    const auto out = load(state);
+    ASSERT_FALSE(out.ok()) << state;
+    EXPECT_NE(out.error().find("at record 0"), std::string::npos)
+        << out.error();
+  }
+  for (const char* state : {"-1", "6"}) EXPECT_TRUE(load(state).ok()) << state;
+}
+
 TEST(TraceIo, EmptyTraceRoundTrips) {
   TraceLog empty;
   std::stringstream buf;
